@@ -54,6 +54,7 @@ import (
 	"asmodel/internal/lg"
 	"asmodel/internal/model"
 	"asmodel/internal/mrt"
+	"asmodel/internal/pool"
 	"asmodel/internal/relation"
 	"asmodel/internal/serve"
 	"asmodel/internal/stream"
@@ -114,9 +115,11 @@ type (
 	// (Model.RefineContext, Model.EvaluateContext) when cancellation
 	// stops the run; it carries progress made and the last checkpoint.
 	InterruptedError = model.InterruptedError
-	// WorkerPanicError is a panic recovered inside a parallel
-	// evaluation or verify-sweep worker, attributed to the prefix that
-	// raised it.
+	// WorkerPanicError is a panic recovered inside a worker of any
+	// parallel prefix sweep, attributed to the prefix that raised it.
+	// Op names the sweep: "evaluate" (Model.EvaluateParallel),
+	// "verify" (the refine verify sweep), "refine" (a speculative
+	// refinement worker) or "generate" (ground-truth generation).
 	WorkerPanicError = model.WorkerPanicError
 	// IngestOptions selects strict (abort on first malformed record) or
 	// lenient (skip, count, bounded by MaxRecordErrors) ingestion.
@@ -131,7 +134,7 @@ type (
 // runtime.GOMAXPROCS(0). For refinement the pool drives both the
 // speculative refine iterations and the parallel verify sweep; outputs
 // are byte-identical at any worker count.
-func DefaultWorkers() int { return model.DefaultWorkers() }
+func DefaultWorkers() int { return pool.DefaultWorkers() }
 
 // LoadCheckpointFile reads a refinement checkpoint written during a
 // checkpointed Refine run (see CheckpointConfig).

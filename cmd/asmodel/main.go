@@ -26,6 +26,7 @@ import (
 	"asmodel/internal/ingest"
 	"asmodel/internal/model"
 	"asmodel/internal/obs"
+	"asmodel/internal/pool"
 	"asmodel/internal/stats"
 	"asmodel/internal/topology"
 )
@@ -332,7 +333,7 @@ func cmdRefine(ctx context.Context, args []string) error {
 	checkpoint := fs.String("checkpoint", "", "write a crash-safe refinement checkpoint to this file (atomic rename; also on SIGINT/SIGTERM)")
 	ckptEvery := fs.Int("checkpoint-every", model.DefaultCheckpointEvery, "iterations between checkpoints (with -checkpoint)")
 	resume := fs.Bool("resume", false, "resume refinement from the -checkpoint file instead of starting fresh")
-	workers := fs.Int("workers", model.DefaultWorkers(), "worker-pool size for speculative refinement, the verify sweep and evaluations (1 = sequential; byte-identical results at any count)")
+	workers := fs.Int("workers", pool.DefaultWorkers(), "worker-pool size for speculative refinement, the verify sweep and evaluations (1 = sequential; byte-identical results at any count)")
 	iopts := ingestFlags(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -671,7 +672,7 @@ func cmdEvaluate(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("evaluate", flag.ContinueOnError)
 	in := fs.String("in", "", "dataset file to score against")
 	modelPath := fs.String("model", "", "saved model file")
-	workers := fs.Int("workers", model.DefaultWorkers(), "worker-pool size for the evaluation (1 = sequential; same results at any count)")
+	workers := fs.Int("workers", pool.DefaultWorkers(), "worker-pool size for the evaluation (1 = sequential; same results at any count)")
 	report := fs.String("report", "", "write a schema-versioned JSON run report to this file")
 	iopts := ingestFlags(fs)
 	if err := parseFlags(fs, args); err != nil {

@@ -33,6 +33,7 @@ import (
 	"asmodel/internal/gen"
 	"asmodel/internal/model"
 	"asmodel/internal/obs"
+	"asmodel/internal/pool"
 	"asmodel/internal/serve"
 	"asmodel/internal/topology"
 )
@@ -221,7 +222,7 @@ func runLoadGen(ctx context.Context, srv *serve.Server, p loadGenParams) error {
 		if err != nil {
 			return err
 		}
-		ds, err := in.RunAllParallel(ctx, gen.DefaultWorkers())
+		ds, err := in.RunAllParallel(ctx, pool.DefaultWorkers())
 		if err != nil {
 			return err
 		}

@@ -34,6 +34,7 @@ import (
 	"asmodel/internal/durable"
 	"asmodel/internal/gen"
 	"asmodel/internal/mrt"
+	"asmodel/internal/pool"
 	"asmodel/internal/stream"
 )
 
@@ -105,7 +106,7 @@ func genUpdates(ctx context.Context, seed int64) (*dataset.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds, err := in.RunAllParallel(ctx, gen.DefaultWorkers())
+	ds, err := in.RunAllParallel(ctx, pool.DefaultWorkers())
 	if err != nil {
 		return nil, err
 	}

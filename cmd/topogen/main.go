@@ -23,6 +23,7 @@ import (
 	"asmodel/internal/gen"
 	"asmodel/internal/mrt"
 	"asmodel/internal/obs"
+	"asmodel/internal/pool"
 )
 
 // Exit codes match cmd/asmodel's contract: 0 success, 1 runtime
@@ -47,7 +48,7 @@ func main() {
 	out := flag.String("o", "-", "dataset output file ('-' for stdout)")
 	mrtOut := flag.String("mrt", "", "also write the dataset as an MRT TABLE_DUMP_V2 file")
 	quiet := flag.Bool("q", false, "suppress the summary on stderr")
-	workers := flag.Int("workers", gen.DefaultWorkers(), "worker-pool size for the ground-truth simulation (1 = sequential; identical output at any count)")
+	workers := flag.Int("workers", pool.DefaultWorkers(), "worker-pool size for the ground-truth simulation (1 = sequential; identical output at any count)")
 	report := flag.String("report", "", "write a schema-versioned JSON run report to this file")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
 	flag.Parse()

@@ -19,6 +19,7 @@ import (
 	"asmodel/internal/gen"
 	"asmodel/internal/metrics"
 	"asmodel/internal/model"
+	"asmodel/internal/pool"
 	"asmodel/internal/relation"
 	"asmodel/internal/stats"
 	"asmodel/internal/topology"
@@ -68,7 +69,7 @@ func NewSuite(cfg gen.Config) (*Suite, error) {
 // and refinement verify sweeps (workers <= 0 selects one per CPU).
 func NewSuiteWorkers(cfg gen.Config, workers int) (*Suite, error) {
 	if workers <= 0 {
-		workers = gen.DefaultWorkers()
+		workers = pool.DefaultWorkers()
 	}
 	in, err := gen.Generate(cfg)
 	if err != nil {

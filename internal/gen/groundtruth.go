@@ -238,7 +238,7 @@ func (in *Internet) RunAll() (*dataset.Dataset, error) {
 func (in *Internet) runAll(ctx context.Context) (*dataset.Dataset, error) {
 	defer obsGenRun()()
 	ctx, span := obs.StartSpan(ctx, "gen.run_all",
-		obs.A("prefixes", len(in.prefixOrigin)), obs.A("workers", 1))
+		obs.A("prefixes", len(in.prefixOrigin)), obs.VolatileAttr("workers", 1))
 	defer span.End()
 	ds := &dataset.Dataset{}
 	for pi := range in.prefixOrigin {

@@ -3,15 +3,12 @@ package gen
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"asmodel/internal/bgp"
 	"asmodel/internal/dataset"
 	"asmodel/internal/obs"
+	"asmodel/internal/pool"
 	"asmodel/internal/routersim"
 )
 
@@ -40,22 +37,23 @@ func obsGenRun() func() {
 	return func() { mGenRunTime.ObserveDuration(time.Since(start)) }
 }
 
-// DefaultWorkers is the pool size RunAllParallel uses when the caller
-// passes 0: one worker per available CPU.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // prefixShard is one prefix's contribution to a parallel generation,
 // produced by a worker on its private clone and merged in prefix order by
 // the coordinator.
 type prefixShard struct {
 	records  []dataset.Record
 	reverted bool // the prefix's weird policy diverged and was rolled back
-	err      error
 }
 
-// RunAllParallel is RunAll fanned out over a worker pool: each worker
-// gets its own deep copy of the Internet (Clone), pulls prefixes from an
-// atomic cursor, simulates them on its clone and records what the
+// genWorker is one generation worker's private state.
+type genWorker struct {
+	in  *Internet
+	idx int
+}
+
+// RunAllParallel is RunAll fanned out over the worker pool: each worker
+// gets its own deep copy of the Internet (Clone), pulls prefixes in
+// prefix order, simulates them on its clone and records what the
 // clone's vantage points see into a private shard. Shards are merged in
 // prefix order, so the returned dataset is byte-identical to the
 // sequential RunAll for any worker count.
@@ -68,18 +66,14 @@ type prefixShard struct {
 // finishes converged on the last prefix, again matching the sequential
 // run, so later RunOne / DisableASLink what-ifs behave identically.
 //
-// workers <= 0 selects DefaultWorkers(); workers == 1 (or a single-prefix
-// Internet) falls back to the sequential path. A canceled context aborts
-// the run with an error wrapping ctx.Err(). On any failure the canonical
-// Internet's bookkeeping is left untouched.
+// workers <= 0 selects pool.DefaultWorkers(); workers == 1 (or a
+// single-prefix Internet) falls back to the sequential path. A canceled
+// context aborts the run with an error wrapping ctx.Err(); a worker
+// panic returns a *pool.PanicError with Op "generate". On any failure
+// the canonical Internet's bookkeeping is left untouched.
 func (in *Internet) RunAllParallel(ctx context.Context, workers int) (*dataset.Dataset, error) {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
 	n := len(in.prefixOrigin)
-	if workers > n {
-		workers = n
-	}
+	workers = pool.Workers(workers, n)
 	if workers <= 1 {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("gen: ground-truth generation not started: %w", err)
@@ -89,103 +83,45 @@ func (in *Internet) RunAllParallel(ctx context.Context, workers int) (*dataset.D
 	defer obsGenRun()()
 	mGenWorkers.Set(int64(workers))
 	ctx, span := obs.StartSpan(ctx, "gen.run_all",
-		obs.A("prefixes", n), obs.A("workers", workers))
+		obs.A("prefixes", n), obs.VolatileAttr("workers", workers))
 	defer span.End()
 
 	results := make([]prefixShard, n)
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			// Busy is time inside the per-prefix body; idle is everything
-			// else (clone build, cursor contention, tail straggling). Both
-			// depend on scheduling, so the span attrs are Volatile.
-			wspan := span.StartChild("worker", obs.VolatileAttr("worker", wi))
-			wstart := time.Now()
-			var busy time.Duration
-			clone := in.Clone()
-			processed := 0
-			defer func() {
-				mGenPerWkr.ObserveInt(processed)
-				total := time.Since(wstart)
-				mGenBusy.ObserveDuration(busy)
-				mGenIdle.ObserveDuration(total - busy)
-				wspan.Set(
-					obs.VolatileAttr("prefixes", processed),
-					obs.VolatileAttr("busy_seconds", busy.Seconds()),
-					obs.VolatileAttr("idle_seconds", (total-busy).Seconds()))
-				wspan.End()
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || wctx.Err() != nil {
-					return
-				}
-				r := &results[i]
-				// One prefix per closure invocation so a recovered panic is
-				// attributed to the prefix that raised it and stops only
-				// this worker — wg.Wait never deadlocks.
-				t0 := time.Now()
-				stop := func() (stop bool) {
-					defer func() {
-						if p := recover(); p != nil {
-							r.err = fmt.Errorf("gen: worker panic on prefix %s: %v\n%s",
-								in.prefixName[i], p, debug.Stack())
-							cancel()
-							stop = true
-						}
-					}()
-					// Sampled per-prefix spans attach to the stage span: the
-					// prefix→worker assignment is nondeterministic, so only a
-					// Volatile attr records it.
-					var ps *obs.Span
-					if span.SampledPrefix(i) {
-						ps = span.StartChild("prefix",
-							obs.A("prefix", in.prefixName[i]), obs.VolatileAttr("worker", wi))
-					}
-					defer ps.End()
-					reverted, err := clone.runPrefixRevertible(wctx, bgp.PrefixID(i))
-					if err != nil {
-						if wctx.Err() != nil {
-							return true // interrupted, not failed
-						}
-						r.err = err
-						cancel() // no point finishing the sweep
-						return true
-					}
-					var shard dataset.Dataset
-					routersim.Observe(&shard, clone.PrefixName(bgp.PrefixID(i)), CollectionTime-7200, clone.vps)
-					r.records = shard.Records
-					r.reverted = reverted
-					ps.Set(obs.A("reverted", reverted), obs.A("records", len(r.records)))
-					processed++
-					return false
-				}()
-				busy += time.Since(t0)
-				if stop {
-					return
-				}
-			}
-		}(w)
+	sweep := pool.Sweep{
+		Op:    "generate",
+		Name:  func(i int) string { return in.prefixName[i] },
+		Span:  span,
+		Items: mGenPerWkr, Busy: mGenBusy, Idle: mGenIdle,
 	}
-	wg.Wait()
-
-	// Worker errors win over the interrupt so a genuine failure is never
-	// masked by the cancel() it triggered; scanning in prefix order makes
-	// the reported error match the sequential run's.
-	for i := range results {
-		if err := results[i].err; err != nil {
-			return nil, err
+	newWorker := func(wi int) genWorker { return genWorker{in: in.Clone(), idx: wi} }
+	err := pool.Run(ctx, sweep, n, workers, newWorker, func(ctx context.Context, gw genWorker, i int) error {
+		r := &results[i]
+		// Sampled per-prefix spans attach to the stage span: the
+		// prefix→worker assignment is nondeterministic, so only a
+		// Volatile attr records it.
+		var ps *obs.Span
+		if span.SampledPrefix(i) {
+			ps = span.StartChild("prefix",
+				obs.A("prefix", in.prefixName[i]), obs.VolatileAttr("worker", gw.idx))
 		}
+		defer ps.End()
+		reverted, err := gw.in.runPrefixRevertible(ctx, bgp.PrefixID(i))
+		if err != nil {
+			return err
+		}
+		var shard dataset.Dataset
+		routersim.Observe(&shard, gw.in.PrefixName(bgp.PrefixID(i)), CollectionTime-7200, gw.in.vps)
+		r.records = shard.Records
+		r.reverted = reverted
+		ps.Set(obs.A("reverted", reverted), obs.A("records", len(r.records)))
+		return nil
+	})
+	if err != nil {
+		if err == ctx.Err() {
+			return nil, fmt.Errorf("gen: ground-truth generation interrupted: %w", err)
+		}
+		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("gen: ground-truth generation interrupted: %w", err)
-	}
-
 	// Merge in prefix order: replay worker-side reverts on the canonical
 	// Internet (identical bookkeeping to sequential), then concatenate the
 	// shards (identical record order).

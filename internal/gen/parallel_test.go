@@ -3,10 +3,15 @@ package gen
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"asmodel/internal/bgp"
+	"asmodel/internal/faultinject"
+	"asmodel/internal/obs"
+	"asmodel/internal/pool"
 )
 
 // genPair generates two structurally identical Internets from the same
@@ -230,5 +235,103 @@ func TestRunAllParallelCancellation(t *testing.T) {
 	}
 	if in.QuirksReverted != 0 {
 		t.Error("aborted run mutated revert bookkeeping")
+	}
+}
+
+// TestRunAllParallelRecoversPanic: a worker panic mid-generation surfaces
+// as the pool's typed *pool.PanicError naming the prefix, is counted on
+// worker_panics_recovered, and leaves the canonical Internet untouched.
+func TestRunAllParallelRecoversPanic(t *testing.T) {
+	cfg := smallConfig(8)
+	cfg.WeirdPolicyFrac = 0.3 // seed 8 reverts a quirk: the merge must not replay it
+	in, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faultinject.NewPanicInjector(3)
+	pool.FaultHook = func(op string, item int) { inj.Fire(fmt.Sprintf("%s/%d", op, item)) }
+	t.Cleanup(func() { pool.FaultHook = nil })
+	before := pool.Panics.Value()
+
+	_, err = in.RunAllParallel(context.Background(), 2)
+	var wp *pool.PanicError
+	if !errors.As(err, &wp) {
+		t.Fatalf("want *pool.PanicError, got %T: %v", err, err)
+	}
+	if wp.Op != "generate" {
+		t.Fatalf("Op = %q, want generate", wp.Op)
+	}
+	if wp.Prefix == "" || len(wp.Stack) == 0 {
+		t.Fatalf("incomplete panic context: %+v", wp)
+	}
+	if _, ok := wp.Value.(faultinject.InjectedPanic); !ok {
+		t.Fatalf("recovered value = %#v, want the injected panic", wp.Value)
+	}
+	if got := pool.Panics.Value(); got != before+1 {
+		t.Fatalf("worker_panics_recovered advanced by %d, want 1", got-before)
+	}
+	if in.QuirksReverted != 0 {
+		t.Fatal("failed run mutated revert bookkeeping")
+	}
+
+	// Workers ran on clones: with the hook gone the same Internet still
+	// generates the sequential dataset.
+	pool.FaultHook = nil
+	got, err := in.RunAllParallel(context.Background(), 2)
+	if err != nil {
+		t.Fatalf("run after recovered panic: %v", err)
+	}
+	ref, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.RunAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotBuf, wantBuf bytes.Buffer
+	if err := got.Write(&gotBuf); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Write(&wantBuf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotBuf.Bytes(), wantBuf.Bytes()) {
+		t.Fatal("dataset after recovered panic differs from sequential")
+	}
+}
+
+// TestRunAllParallelRedactedTraceIdentical: the redacted span trace of a
+// generation (every prefix sampled) is byte-identical at any worker
+// count, the sequential fallback included.
+func TestRunAllParallelRedactedTraceIdentical(t *testing.T) {
+	cfg := smallConfig(9)
+	cfg.WeirdPolicyFrac = 0.3
+	var want []byte
+	for _, workers := range []int{1, 2, 4} {
+		in, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var trace bytes.Buffer
+		sink := obs.NewTraceSink(&trace)
+		rec := obs.NewSpanRecorder(sink, "test generate", obs.SpanOptions{RedactTiming: true, PrefixSample: 1})
+		if _, err := in.RunAllParallel(obs.ContextWithSpan(context.Background(), rec.Root()), workers); err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if workers == 1 {
+			want = trace.Bytes()
+			continue
+		}
+		if !bytes.Equal(trace.Bytes(), want) {
+			t.Errorf("workers %d: redacted trace differs from sequential:\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s",
+				workers, want, workers, trace.Bytes())
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+
+	"asmodel/internal/pool"
+)
 
 // InterruptedError reports that context cancellation (SIGINT/SIGTERM in
 // the CLI, or a deadline) stopped a long-running operation cleanly. It
@@ -49,22 +53,6 @@ func (e *InterruptedError) Error() string {
 func (e *InterruptedError) Unwrap() error { return e.Err }
 
 // WorkerPanicError reports a panic recovered inside a parallel worker
-// goroutine. The pool converts the panic into this typed error, cancels
-// the sweep, and returns it from the merge, so a bug (or an injected
-// fault) in one prefix's simulation fails the call instead of killing
-// the process.
-type WorkerPanicError struct {
-	// Op is the sweep that panicked: "evaluate", "verify", or
-	// "refine" (a speculative refinement worker).
-	Op string
-	// Prefix names the prefix being processed when the panic fired.
-	Prefix string
-	// Value is the recovered panic value.
-	Value any
-	// Stack is the worker's stack trace captured at recovery.
-	Stack []byte
-}
-
-func (e *WorkerPanicError) Error() string {
-	return fmt.Sprintf("model: %s worker panicked on prefix %s: %v", e.Op, e.Prefix, e.Value)
-}
+// goroutine: the worker pool's one typed panic error (see
+// pool.PanicError), shared by every sweep.
+type WorkerPanicError = pool.PanicError

@@ -4,24 +4,28 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"asmodel/internal/bgp"
 	"asmodel/internal/dataset"
 	"asmodel/internal/faultinject"
+	"asmodel/internal/pool"
 	"asmodel/internal/topology"
 )
 
-// installPanicHook points the worker fault hook at a panic injector and
+// mWorkerPanics is the pool's worker_panics_recovered counter.
+var mWorkerPanics = pool.Panics
+
+// installPanicHook points the pool's fault hook at a panic injector and
 // arranges its removal when the test ends.
 func installPanicHook(t *testing.T, inj *faultinject.PanicInjector) {
 	t.Helper()
-	workerFaultHook = func(id bgp.PrefixID) { inj.Fire(string(rune('A' + int(id)%26))) }
-	t.Cleanup(func() { workerFaultHook = nil })
+	pool.FaultHook = func(op string, item int) { inj.Fire(fmt.Sprintf("%s/%d", op, item)) }
+	t.Cleanup(func() { pool.FaultHook = nil })
 }
 
 // TestEvaluateParallelRecoversPanic: a worker panic mid-sweep must
@@ -112,7 +116,7 @@ func TestRefineSpeculateRecoversPanic(t *testing.T) {
 
 	// Speculation runs on clones; the canonical model must still refine
 	// cleanly once the hook is gone.
-	workerFaultHook = nil
+	pool.FaultHook = nil
 	m2, err := NewInitial(topology.FromDataset(ds), dataset.NewUniverse(ds))
 	if err != nil {
 		t.Fatal(err)

@@ -222,7 +222,7 @@ func (m *Model) EvaluateContext(ctx context.Context, ds *dataset.Dataset) (*Eval
 	ev.SkippedPrefixes = skipped
 
 	ctx, span := obs.StartSpan(ctx, "model.evaluate",
-		obs.A("prefixes", len(works)), obs.A("skipped", skipped), obs.A("workers", 1))
+		obs.A("prefixes", len(works)), obs.A("skipped", skipped), obs.VolatileAttr("workers", 1))
 	defer span.End()
 
 	done := 0

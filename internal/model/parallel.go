@@ -3,16 +3,12 @@ package model
 import (
 	"context"
 	"errors"
-	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"asmodel/internal/bgp"
 	"asmodel/internal/dataset"
 	"asmodel/internal/metrics"
 	"asmodel/internal/obs"
+	"asmodel/internal/pool"
 	"asmodel/internal/sim"
 )
 
@@ -26,21 +22,11 @@ var (
 	mParWorkers = obs.GetGauge("eval_parallel_workers", "worker count of the most recent parallel sweep")
 	mParPerWkr  = obs.GetHistogram("eval_worker_prefixes", "prefixes processed per worker per parallel sweep",
 		obs.ExpBuckets(1, 4, 10))
-	mWorkerPanics = obs.GetCounter("worker_panics_recovered", "panics recovered in parallel worker goroutines")
-	mEvalBusy     = obs.GetHistogram("eval_worker_busy_seconds", "per-worker time spent simulating prefixes per parallel sweep",
+	mEvalBusy = obs.GetHistogram("eval_worker_busy_seconds", "per-worker time spent simulating prefixes per parallel sweep",
 		obs.ExpBuckets(1e-3, 4, 12))
 	mEvalIdle = obs.GetHistogram("eval_worker_idle_seconds", "per-worker time spent waiting (clone build, cursor contention, tail straggling) per parallel sweep",
 		obs.ExpBuckets(1e-3, 4, 12))
 )
-
-// workerFaultHook, when non-nil, runs at the top of every worker's
-// per-prefix body. Fault-injection tests point it at a panic injector;
-// it must only be set while no sweep is in flight.
-var workerFaultHook func(prefix bgp.PrefixID)
-
-// DefaultWorkers is the worker-pool size the parallel paths use when the
-// caller passes 0: one worker per available CPU.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // Clone returns a deep copy of the model sharing the immutable prefix
 // Universe and AS Graph: the underlying network (topology + policies) is
@@ -75,16 +61,22 @@ type prefixEval struct {
 	sum            *metrics.Summary // nil until evaluated
 	matched, total int
 	div            *DivergenceRecord
-	err            error // non-divergence simulation failure
 }
 
-// EvaluateParallel is Evaluate fanned out over a worker pool: each
+// evalWorker is one evaluation worker's private state.
+type evalWorker struct {
+	m   *Model
+	cls *metrics.Classifier
+	idx int
+}
+
+// EvaluateParallel is Evaluate fanned out over the worker pool: each
 // worker gets its own model clone (Clone), pulls prefixes from the
 // shared universe-ordered worklist, and emits a per-prefix summary;
 // the coordinator merges summaries, coverage and divergence records in
 // universe order, so the result is identical to the sequential
 // EvaluateContext for any worker count. workers <= 0 selects
-// DefaultWorkers(); workers == 1 (or a worklist smaller than two
+// pool.DefaultWorkers(); workers == 1 (or a worklist smaller than two
 // prefixes) falls back to the sequential path over the model's own
 // network.
 //
@@ -94,134 +86,62 @@ type prefixEval struct {
 // read (but not mutate) concurrently with an in-flight
 // EvaluateParallel.
 func (m *Model) EvaluateParallel(ctx context.Context, ds *dataset.Dataset, workers int) (*Evaluation, error) {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
 	works, skipped := m.evalWorklist(ds)
-	if workers > len(works) {
-		workers = len(works)
-	}
+	workers = pool.Workers(workers, len(works))
 	if workers <= 1 {
 		return m.EvaluateContext(ctx, ds)
 	}
 	mParEvals.Inc()
 	mParWorkers.Set(int64(workers))
 	ctx, span := obs.StartSpan(ctx, "model.evaluate",
-		obs.A("prefixes", len(works)), obs.A("skipped", skipped), obs.A("workers", workers))
+		obs.A("prefixes", len(works)), obs.A("skipped", skipped), obs.VolatileAttr("workers", workers))
 	defer span.End()
 
 	results := make([]prefixEval, len(works))
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			// Per-worker utilization: busy is time inside the per-prefix
-			// body; idle is everything else (clone build, cursor
-			// contention, straggling at the tail). Both are
-			// scheduling-dependent, so the span attrs are Volatile — and
-			// the span itself is volatile, because its count follows the
-			// worker count.
-			wspan := span.StartVolatileChild("worker", obs.VolatileAttr("worker", wi))
-			wstart := time.Now()
-			var busy time.Duration
-			clone := m.Clone()
-			mParClones.Inc()
-			cls := metrics.NewClassifier(clone.Net)
-			processed := 0
-			defer func() {
-				mParPerWkr.ObserveInt(processed)
-				total := time.Since(wstart)
-				mEvalBusy.ObserveDuration(busy)
-				mEvalIdle.ObserveDuration(total - busy)
-				wspan.Set(
-					obs.VolatileAttr("prefixes", processed),
-					obs.VolatileAttr("busy_seconds", busy.Seconds()),
-					obs.VolatileAttr("idle_seconds", (total-busy).Seconds()))
-				wspan.End()
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(works) || wctx.Err() != nil {
-					return
-				}
-				w, r := works[i], &results[i]
-				// One prefix per closure invocation, so a recovered panic
-				// is attributed to the prefix that raised it and stops
-				// only this worker — wg.Wait never deadlocks.
-				t0 := time.Now()
-				stop := func() (stop bool) {
-					defer func() {
-						if p := recover(); p != nil {
-							mWorkerPanics.Inc()
-							r.err = &WorkerPanicError{
-								Op:     "evaluate",
-								Prefix: m.Universe.Name(w.id),
-								Value:  p,
-								Stack:  debug.Stack(),
-							}
-							cancel()
-							stop = true
-						}
-					}()
-					// Sampled per-prefix spans attach to the stage span, not
-					// the worker span: the prefix→worker assignment is
-					// nondeterministic, so only a Volatile attr records it.
-					var ps *obs.Span
-					if span.SampledPrefix(int(w.id)) {
-						ps = span.StartChild("prefix",
-							obs.A("prefix", m.Universe.Name(w.id)), obs.VolatileAttr("worker", wi))
-					}
-					defer ps.End()
-					if hook := workerFaultHook; hook != nil {
-						hook(w.id)
-					}
-					if err := clone.runPrefixBudget(wctx, w.id, 0); err != nil {
-						var derr *sim.DivergenceError
-						switch {
-						case errors.As(err, &derr):
-							r.div = &DivergenceRecord{
-								Prefix:   m.Universe.Name(w.id),
-								Messages: derr.Messages,
-								Budget:   derr.Budget,
-							}
-							ps.Set(obs.A("diverged", true))
-						case wctx.Err() != nil:
-							return true
-						default:
-							r.err = err
-							cancel() // no point finishing the sweep
-							return true
-						}
-						processed++
-						return false
-					}
-					r.sum = metrics.NewSummary()
-					r.matched, r.total = metrics.EvaluatePrefixSorted(cls, w.observed, r.sum)
-					ps.Set(obs.A("matched", r.matched), obs.A("total", r.total))
-					processed++
-					return false
-				}()
-				busy += time.Since(t0)
-				if stop {
-					return
-				}
-			}
-		}(wi)
+	sweep := pool.Sweep{
+		Op:    "evaluate",
+		Name:  func(i int) string { return m.Universe.Name(works[i].id) },
+		Span:  span,
+		Items: mParPerWkr, Busy: mEvalBusy, Idle: mEvalIdle,
 	}
-	wg.Wait()
-
-	// Merge in universe order. Worker errors win over the interrupt so a
-	// genuine failure is never masked by the cancel() it triggered.
-	for i := range results {
-		if err := results[i].err; err != nil {
+	newWorker := func(wi int) evalWorker {
+		clone := m.Clone()
+		mParClones.Inc()
+		return evalWorker{m: clone, cls: metrics.NewClassifier(clone.Net), idx: wi}
+	}
+	err := pool.Run(ctx, sweep, len(works), workers, newWorker, func(ctx context.Context, ew evalWorker, i int) error {
+		w, r := works[i], &results[i]
+		// Sampled per-prefix spans attach to the stage span, not the
+		// worker span: the prefix→worker assignment is nondeterministic,
+		// so only a Volatile attr records it.
+		var ps *obs.Span
+		if span.SampledPrefix(int(w.id)) {
+			ps = span.StartChild("prefix",
+				obs.A("prefix", m.Universe.Name(w.id)), obs.VolatileAttr("worker", ew.idx))
+		}
+		defer ps.End()
+		if err := ew.m.runPrefixBudget(ctx, w.id, 0); err != nil {
+			var derr *sim.DivergenceError
+			if !errors.As(err, &derr) {
+				return err
+			}
+			r.div = &DivergenceRecord{
+				Prefix:   m.Universe.Name(w.id),
+				Messages: derr.Messages,
+				Budget:   derr.Budget,
+			}
+			ps.Set(obs.A("diverged", true))
+			return nil
+		}
+		r.sum = metrics.NewSummary()
+		r.matched, r.total = metrics.EvaluatePrefixSorted(ew.cls, w.observed, r.sum)
+		ps.Set(obs.A("matched", r.matched), obs.A("total", r.total))
+		return nil
+	})
+	if err != nil {
+		if err != ctx.Err() {
 			return nil, err
 		}
-	}
-	if err := ctx.Err(); err != nil {
 		done := 0
 		for i := range results {
 			if results[i].sum != nil {
@@ -230,6 +150,8 @@ func (m *Model) EvaluateParallel(ctx context.Context, ds *dataset.Dataset, worke
 		}
 		return nil, &InterruptedError{Op: "evaluate", Prefixes: done, Err: err}
 	}
+
+	// Merge in universe order.
 	ev := &Evaluation{Summary: metrics.NewSummary(), SkippedPrefixes: skipped}
 	for i := range results {
 		r := &results[i]
@@ -251,7 +173,6 @@ type verifyOutcome struct {
 	diverged                 bool
 	unsat                    int
 	ribOut, potential, ribIn int
-	err                      error
 }
 
 // verifyParallel re-simulates the given settled prefixes on per-worker
@@ -262,81 +183,31 @@ type verifyOutcome struct {
 // Clones come from the run's shared pool (rr.clonePool), already synced
 // to the canonical model, so the sweep never re-clones mid-run. Worker
 // spans attach under span (the verify-sweep span; nil is fine).
-func (rr *refineRun) verifyParallel(span *obs.Span, towork []*prefixWork, clones []*specClone) []verifyOutcome {
-	workers := len(clones)
-	mParWorkers.Set(int64(workers))
+func (rr *refineRun) verifyParallel(span *obs.Span, towork []*prefixWork, clones []*specClone) ([]verifyOutcome, error) {
+	mParWorkers.Set(int64(len(clones)))
 	results := make([]verifyOutcome, len(towork))
-	var next atomic.Int64
-	var abort atomic.Bool // one worker failed: stop claiming new prefixes
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			wspan := span.StartVolatileChild("worker", obs.VolatileAttr("worker", wi))
-			wstart := time.Now()
-			var busy time.Duration
-			clone := clones[wi].m
-			processed := 0
-			defer func() {
-				mParPerWkr.ObserveInt(processed)
-				total := time.Since(wstart)
-				mEvalBusy.ObserveDuration(busy)
-				mEvalIdle.ObserveDuration(total - busy)
-				wspan.Set(
-					obs.VolatileAttr("prefixes", processed),
-					obs.VolatileAttr("busy_seconds", busy.Seconds()),
-					obs.VolatileAttr("idle_seconds", (total-busy).Seconds()))
-				wspan.End()
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(towork) || abort.Load() {
-					return
-				}
-				w, r := towork[i], &results[i]
-				t0 := time.Now()
-				stop := func() (stop bool) {
-					defer func() {
-						if p := recover(); p != nil {
-							mWorkerPanics.Inc()
-							r.err = &WorkerPanicError{
-								Op:     "verify",
-								Prefix: rr.name(w),
-								Value:  p,
-								Stack:  debug.Stack(),
-							}
-							abort.Store(true)
-							stop = true
-						}
-					}()
-					if hook := workerFaultHook; hook != nil {
-						hook(w.id)
-					}
-					if err := clone.runPrefixBudget(context.Background(), w.id, w.budget); err != nil {
-						if errors.Is(err, sim.ErrDiverged) {
-							r.diverged = true
-							processed++
-							return false
-						}
-						r.err = err
-						abort.Store(true)
-						return true
-					}
-					if rr.observing {
-						r.ribOut, r.potential, r.ribIn = clone.matchCounts(w)
-					}
-					r.unsat = clone.countUnsatisfied(w)
-					processed++
-					return false
-				}()
-				busy += time.Since(t0)
-				if stop {
-					return
-				}
-			}
-		}(wi)
+	sweep := pool.Sweep{
+		Op:    "verify",
+		Name:  func(i int) string { return rr.name(towork[i]) },
+		Span:  span,
+		Items: mParPerWkr, Busy: mEvalBusy, Idle: mEvalIdle,
 	}
-	wg.Wait()
-	return results
+	err := pool.Run(context.Background(), sweep, len(towork), len(clones),
+		func(wi int) *Model { return clones[wi].m },
+		func(_ context.Context, c *Model, i int) error {
+			w, r := towork[i], &results[i]
+			if err := c.runPrefixBudget(context.Background(), w.id, w.budget); err != nil {
+				if errors.Is(err, sim.ErrDiverged) {
+					r.diverged = true
+					return nil
+				}
+				return err
+			}
+			if rr.observing {
+				r.ribOut, r.potential, r.ribIn = c.matchCounts(w)
+			}
+			r.unsat = c.countUnsatisfied(w)
+			return nil
+		})
+	return results, err
 }

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"asmodel/internal/dataset"
+	"asmodel/internal/obs"
+	"asmodel/internal/pool"
 	"asmodel/internal/topology"
 )
 
@@ -37,7 +39,7 @@ func TestEvaluateParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	counts := []int{1, 2, 4, DefaultWorkers()}
+	counts := []int{1, 2, 4, pool.DefaultWorkers()}
 	for _, seed := range []int64{31, 32, 33} {
 		m, train, valid := refinedFixture(t, seed, RefineConfig{})
 		for _, ds := range []*dataset.Dataset{train, valid} {
@@ -82,6 +84,44 @@ func TestEvaluateParallelDivergences(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("divergent evaluation differs:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestEvaluateParallelRedactedTraceIdentical: the redacted span trace of
+// an evaluation (every prefix sampled, some diverging) is byte-identical
+// at any worker count, the sequential fallback included.
+func TestEvaluateParallelRedactedTraceIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	m, _, valid := refinedFixture(t, 31, RefineConfig{})
+	m.Net.MaxMessages = 400
+	var want []byte
+	for _, workers := range []int{1, 2, 4} {
+		var trace bytes.Buffer
+		sink := obs.NewTraceSink(&trace)
+		rec := obs.NewSpanRecorder(sink, "test evaluate", obs.SpanOptions{RedactTiming: true, PrefixSample: 1})
+		ev, err := m.EvaluateParallel(obs.ContextWithSpan(context.Background(), rec.Root()), valid, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Diverged == 0 || ev.Diverged == len(valid.Prefixes()) {
+			t.Fatalf("fixture diverged on %d prefixes; want some but not all", ev.Diverged)
+		}
+		if err := rec.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if workers == 1 {
+			want = trace.Bytes()
+			continue
+		}
+		if !bytes.Equal(trace.Bytes(), want) {
+			t.Errorf("workers %d: redacted trace differs from sequential:\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s",
+				workers, want, workers, trace.Bytes())
+		}
 	}
 }
 

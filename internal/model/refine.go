@@ -9,6 +9,7 @@ import (
 	"asmodel/internal/bgp"
 	"asmodel/internal/dataset"
 	"asmodel/internal/obs"
+	"asmodel/internal/pool"
 	"asmodel/internal/sim"
 )
 
@@ -71,7 +72,7 @@ type RefineConfig struct {
 	// worker count produces byte-identical results: model serialization,
 	// result counts, checkpoints, trace events and redacted spans
 	// (DESIGN.md §5 "Speculative refinement"). 0 or 1 keeps refinement
-	// sequential; a negative value selects DefaultWorkers().
+	// sequential; a negative value selects one worker per CPU.
 	Workers int
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...interface{})
@@ -502,18 +503,16 @@ func (rr *refineRun) verifySweep(span *obs.Span) (int, error) {
 			towork = append(towork, w)
 		}
 	}
-	workers := rr.workerCount()
-	if workers > len(towork) {
-		workers = len(towork)
-	}
+	workers := pool.Workers(rr.workerCount(), len(towork))
 	span.Set(obs.A("prefixes", len(towork)), obs.VolatileAttr("workers", workers))
 	reopened := 0
 	if workers > 1 && rr.cfg.forceDiverge == nil {
-		for i, o := range rr.verifyParallel(span, towork, rr.clonePool(workers)) {
+		outcomes, err := rr.verifyParallel(span, towork, rr.clonePool(workers))
+		if err != nil {
+			return 0, err
+		}
+		for i, o := range outcomes {
 			w := towork[i]
-			if o.err != nil {
-				return 0, o.err
-			}
 			if o.diverged {
 				w.ok = false
 				continue
@@ -631,10 +630,7 @@ func (rr *refineRun) run(ctx context.Context) (*RefineResult, error) {
 				}
 			}
 			if rr.recording && !cfg.disableSpeculation && len(open) > 1 {
-				usedWorkers = rr.workerCount()
-				if usedWorkers > len(open) {
-					usedWorkers = len(open)
-				}
+				usedWorkers = pool.Workers(rr.workerCount(), len(open))
 				var serr error
 				changedAny, pending, reservations, conflicts, serr = rr.iterateSpeculative(open, iterSpan)
 				if serr != nil {

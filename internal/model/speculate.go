@@ -4,13 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"asmodel/internal/bgp"
 	"asmodel/internal/obs"
+	"asmodel/internal/pool"
 	"asmodel/internal/sim"
 )
 
@@ -408,12 +405,12 @@ type specClone struct {
 	pos int // rr.log index the clone's topology/policies reflect
 }
 
-// workerCount resolves cfg.Workers: negative selects DefaultWorkers(),
-// 0 and 1 stay sequential.
+// workerCount resolves cfg.Workers: negative selects
+// pool.DefaultWorkers(), 0 and 1 stay sequential.
 func (rr *refineRun) workerCount() int {
 	w := rr.cfg.Workers
 	if w < 0 {
-		w = DefaultWorkers()
+		w = pool.DefaultWorkers()
 	}
 	if w < 1 {
 		w = 1
@@ -481,94 +478,45 @@ func (rr *refineRun) speculate(c *Model, w *prefixWork, sp *speculation) {
 }
 
 // iterateSpeculative is the parallel form of one inner refinement
-// iteration over the open prefixes. Workers claim prefixes from the
-// worklist via an atomic cursor and speculate on pooled clones; the
-// caller's goroutine merges outcomes in worklist order as they become
-// ready — replaying clean speculations, re-running conflicted (or
-// forceDiverge-seamed) ones on the canonical model — so every
-// observable output matches the sequential iteration exactly.
+// iteration over the open prefixes. Pool workers claim prefixes in
+// worklist order and speculate on pooled clones; the caller's goroutine
+// merges outcomes in worklist order as they become ready — replaying
+// clean speculations, re-running conflicted (or forceDiverge-seamed)
+// ones on the canonical model — so every observable output matches the
+// sequential iteration exactly.
 func (rr *refineRun) iterateSpeculative(open []*prefixWork, iterSpan *obs.Span) (changedAny bool, pending, reservations, conflicts int, err error) {
-	workers := rr.workerCount()
-	if workers > len(open) {
-		workers = len(open)
-	}
-	clones := rr.clonePool(workers)
+	clones := rr.clonePool(pool.Workers(rr.workerCount(), len(open)))
 	specs := make([]speculation, len(open))
 	ready := make([]chan struct{}, len(open))
 	for i := range ready {
 		ready[i] = make(chan struct{})
 	}
-	var next atomic.Int64
-	var abort atomic.Bool
-	var wg sync.WaitGroup
 	mSpecs.Add(int64(len(open)))
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			// The worker span is volatile twice over: its attrs are
-			// wall-clock and its count follows the worker count, so
-			// redacted traces drop the span entirely.
-			wspan := iterSpan.StartVolatileChild("worker", obs.VolatileAttr("worker", wi))
-			wstart := time.Now()
-			var busy time.Duration
-			clone := clones[wi].m
-			processed := 0
-			defer func() {
-				mParPerWkr.ObserveInt(processed)
-				total := time.Since(wstart)
-				mRefBusy.ObserveDuration(busy)
-				mRefIdle.ObserveDuration(total - busy)
-				wspan.Set(
-					obs.VolatileAttr("prefixes", processed),
-					obs.VolatileAttr("busy_seconds", busy.Seconds()),
-					obs.VolatileAttr("idle_seconds", (total-busy).Seconds()))
-				wspan.End()
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(open) || abort.Load() {
-					return
-				}
-				w, sp := open[i], &specs[i]
-				t0 := time.Now()
-				stop := func() (stop bool) {
-					defer func() {
-						if p := recover(); p != nil {
-							mWorkerPanics.Inc()
-							sp.err = &WorkerPanicError{
-								Op:     "refine",
-								Prefix: rr.name(w),
-								Value:  p,
-								Stack:  debug.Stack(),
-							}
-							abort.Store(true)
-							stop = true
-						}
-					}()
-					if hook := workerFaultHook; hook != nil {
-						hook(w.id)
-					}
-					rr.speculate(clone, w, sp)
-					if sp.err != nil {
-						abort.Store(true)
-						return true
-					}
-					processed++
-					return false
-				}()
-				busy += time.Since(t0)
-				close(ready[i])
-				if stop {
-					return
-				}
-			}
-		}(wi)
+	sweep := pool.Sweep{
+		Op:    "refine",
+		Name:  func(i int) string { return rr.name(open[i]) },
+		Span:  iterSpan,
+		Items: mParPerWkr, Busy: mRefBusy, Idle: mRefIdle,
+		Done: func(i int, err error) {
+			specs[i].err = err
+			close(ready[i])
+		},
 	}
+	ctx, abort := context.WithCancel(context.Background())
+	defer abort()
+	swept := make(chan error, 1)
+	go func() {
+		swept <- pool.Run(ctx, sweep, len(open), len(clones),
+			func(wi int) *Model { return clones[wi].m },
+			func(_ context.Context, c *Model, i int) error {
+				rr.speculate(c, open[i], &specs[i])
+				return specs[i].err
+			})
+	}()
 
 	// Sequential merger, overlapping the still-running workers. The
-	// cursor claims indices in order, so by the time ready[i] closes,
-	// every ready[j], j<i has closed or will close — the merger never
+	// pool claims indices in order and stops claiming only after a failed
+	// item, whose ready slot closes with its error — so the merger never
 	// waits on an unclaimed slot before hitting a claimed one.
 	topoWrites := make(map[bgp.ASN]struct{})
 	policyWrites := make(map[bgp.ASN]struct{})
@@ -637,9 +585,11 @@ func (rr *refineRun) iterateSpeculative(open []*prefixWork, iterSpan *obs.Span) 
 		w.ok = sp.satisfied
 	}
 	if merr != nil {
-		abort.Store(true)
+		abort()
 	}
-	wg.Wait()
+	if perr := <-swept; merr == nil {
+		merr = perr
+	}
 	if merr != nil {
 		return false, 0, 0, 0, merr
 	}
