@@ -79,6 +79,44 @@ var QuasiRouterConfig = DecisionConfig{}
 // ground-truth simulation: the full process including hot-potato routing.
 var GroundTruthConfig = DecisionConfig{CompareOrigin: true, PreferEBGP: true, CompareIGPCost: true}
 
+// Compare ranks two routes under the decision process. The process is a
+// lexicographic order over the attributes cfg enables, ending in the
+// router-ID tie-break, so two routes are ordered by the first step at
+// which they differ. Compare returns that step and cmp < 0 when a is
+// preferred there, cmp > 0 when b is. Routes that agree at every step
+// (possible only between routes from the same peer) give StepNone, 0.
+//
+// Compare is the single definition of the decision order: Decide, Better
+// and the simulator's incremental best-route update are all built on it.
+func Compare(cfg DecisionConfig, a, b *Route) (step Step, cmp int) {
+	switch {
+	case a.LocalPref != b.LocalPref:
+		return StepLocalPref, prefer(a.LocalPref > b.LocalPref)
+	case len(a.Path) != len(b.Path):
+		return StepASPathLen, prefer(len(a.Path) < len(b.Path))
+	case cfg.CompareOrigin && a.Origin != b.Origin:
+		return StepOrigin, prefer(a.Origin < b.Origin)
+	case a.MED != b.MED:
+		// Always compared, even across neighbor ASes (§4.6).
+		return StepMED, prefer(a.MED < b.MED)
+	case cfg.PreferEBGP && a.EBGP != b.EBGP:
+		return StepEBGP, prefer(a.EBGP)
+	case cfg.CompareIGPCost && a.IGPCost != b.IGPCost:
+		return StepIGPCost, prefer(a.IGPCost < b.IGPCost)
+	case a.Peer != b.Peer:
+		return StepRouterID, prefer(a.Peer < b.Peer)
+	}
+	return StepNone, 0
+}
+
+// prefer maps "a wins" to Compare's sign convention.
+func prefer(aWins bool) int {
+	if aWins {
+		return -1
+	}
+	return 1
+}
+
 // Decide runs the decision process over candidates and returns the index of
 // the best route and, for each candidate, the step at which it was
 // eliminated (StepNone for the winner). It returns best = -1 for an empty
@@ -87,125 +125,38 @@ var GroundTruthConfig = DecisionConfig{CompareOrigin: true, PreferEBGP: true, Co
 // router-ID tie-break (candidates must have distinct Peer IDs, which holds
 // by construction since a RIB holds at most one route per session).
 //
+// The winner is the Compare-minimum of the candidates (the first one, if
+// several tie at every step), and every loser is eliminated at the step
+// where it first differs from the winner: sequential elimination keeps
+// exactly the candidates that agree with the winner on every earlier step.
+//
 // The elim slice is appended to elimBuf to let hot paths avoid allocation;
 // pass nil if you do not care.
 func Decide(cfg DecisionConfig, candidates []*Route, elimBuf []Step) (best int, elim []Step) {
 	if elimBuf != nil {
 		elim = elimBuf[:0]
-		for range candidates {
-			elim = append(elim, StepNone)
-		}
 	} else {
-		elim = make([]Step, len(candidates))
+		elim = make([]Step, 0, len(candidates))
 	}
 	if len(candidates) == 0 {
 		return -1, elim
 	}
-
-	// alive tracks indices still in contention. Small fixed-size stack
-	// buffer covers the common case of few candidates.
-	var aliveBuf [16]int
-	alive := aliveBuf[:0]
-	for i := range candidates {
-		alive = append(alive, i)
-	}
-
-	// eliminate keeps only candidates for which keep() is true, marking the
-	// rest with the given step. keep must be true for at least one alive
-	// candidate.
-	eliminate := func(step Step, keep func(r *Route) bool) {
-		if len(alive) == 1 {
-			return
-		}
-		out := alive[:0]
-		for _, i := range alive {
-			if keep(candidates[i]) {
-				out = append(out, i)
-			} else {
-				elim[i] = step
-			}
-		}
-		alive = out
-	}
-
-	// 1. Highest local-pref.
-	maxLP := uint32(0)
-	for _, i := range alive {
-		if lp := candidates[i].LocalPref; lp > maxLP {
-			maxLP = lp
+	for i := 1; i < len(candidates); i++ {
+		if _, c := Compare(cfg, candidates[i], candidates[best]); c < 0 {
+			best = i
 		}
 	}
-	eliminate(StepLocalPref, func(r *Route) bool { return r.LocalPref == maxLP })
-
-	// 2. Shortest AS-path.
-	minLen := int(^uint(0) >> 1)
-	for _, i := range alive {
-		if l := len(candidates[i].Path); l < minLen {
-			minLen = l
-		}
+	w := candidates[best]
+	for _, r := range candidates {
+		step, _ := Compare(cfg, r, w)
+		elim = append(elim, step)
 	}
-	eliminate(StepASPathLen, func(r *Route) bool { return len(r.Path) == minLen })
-
-	// 3. Lowest origin.
-	if cfg.CompareOrigin {
-		minOrigin := Origin(255)
-		for _, i := range alive {
-			if o := candidates[i].Origin; o < minOrigin {
-				minOrigin = o
-			}
-		}
-		eliminate(StepOrigin, func(r *Route) bool { return r.Origin == minOrigin })
-	}
-
-	// 4. Lowest MED, always compared (§4.6).
-	minMED := ^uint32(0)
-	for _, i := range alive {
-		if m := candidates[i].MED; m < minMED {
-			minMED = m
-		}
-	}
-	eliminate(StepMED, func(r *Route) bool { return r.MED == minMED })
-
-	// 5. Prefer eBGP-learned routes over iBGP-learned ones.
-	if cfg.PreferEBGP {
-		anyEBGP := false
-		for _, i := range alive {
-			if candidates[i].EBGP {
-				anyEBGP = true
-				break
-			}
-		}
-		if anyEBGP {
-			eliminate(StepEBGP, func(r *Route) bool { return r.EBGP })
-		}
-	}
-
-	// 6. Lowest IGP cost to next hop (hot potato).
-	if cfg.CompareIGPCost {
-		minCost := ^uint32(0)
-		for _, i := range alive {
-			if c := candidates[i].IGPCost; c < minCost {
-				minCost = c
-			}
-		}
-		eliminate(StepIGPCost, func(r *Route) bool { return r.IGPCost == minCost })
-	}
-
-	// 7. Lowest announcing router ID.
-	minPeer := ^RouterID(0)
-	for _, i := range alive {
-		if p := candidates[i].Peer; p < minPeer {
-			minPeer = p
-		}
-	}
-	eliminate(StepRouterID, func(r *Route) bool { return r.Peer == minPeer })
-
-	return alive[0], elim
+	return best, elim
 }
 
-// Better reports whether route a is strictly preferred over route b under
-// cfg. It is a convenience wrapper over Decide for two candidates.
+// Better reports whether Decide picks a from the pair (a, b): a is
+// preferred, or the two tie at every step and a wins by coming first.
 func Better(cfg DecisionConfig, a, b *Route) bool {
-	best, _ := Decide(cfg, []*Route{a, b}, nil)
-	return best == 0
+	_, c := Compare(cfg, a, b)
+	return c <= 0
 }

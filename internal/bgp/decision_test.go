@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -241,6 +242,253 @@ func TestDecideElimBufReuse(t *testing.T) {
 	}
 	if cap(elim) != cap(buf) {
 		t.Fatal("elim should reuse the provided buffer")
+	}
+}
+
+// referenceDecide is the elimination-loop decision process Decide was
+// first written as, kept verbatim as an oracle: each step computes the
+// best attribute value among the candidates still alive and eliminates
+// the rest, exactly as Figure 1 of the paper reads.
+func referenceDecide(cfg DecisionConfig, candidates []*Route) (best int, elim []Step) {
+	elim = make([]Step, len(candidates))
+	if len(candidates) == 0 {
+		return -1, elim
+	}
+	alive := make([]int, 0, len(candidates))
+	for i := range candidates {
+		alive = append(alive, i)
+	}
+	eliminate := func(step Step, keep func(r *Route) bool) {
+		if len(alive) == 1 {
+			return
+		}
+		out := alive[:0]
+		for _, i := range alive {
+			if keep(candidates[i]) {
+				out = append(out, i)
+			} else {
+				elim[i] = step
+			}
+		}
+		alive = out
+	}
+
+	maxLP := uint32(0)
+	for _, i := range alive {
+		if lp := candidates[i].LocalPref; lp > maxLP {
+			maxLP = lp
+		}
+	}
+	eliminate(StepLocalPref, func(r *Route) bool { return r.LocalPref == maxLP })
+
+	minLen := int(^uint(0) >> 1)
+	for _, i := range alive {
+		if l := len(candidates[i].Path); l < minLen {
+			minLen = l
+		}
+	}
+	eliminate(StepASPathLen, func(r *Route) bool { return len(r.Path) == minLen })
+
+	if cfg.CompareOrigin {
+		minOrigin := Origin(255)
+		for _, i := range alive {
+			if o := candidates[i].Origin; o < minOrigin {
+				minOrigin = o
+			}
+		}
+		eliminate(StepOrigin, func(r *Route) bool { return r.Origin == minOrigin })
+	}
+
+	minMED := ^uint32(0)
+	for _, i := range alive {
+		if m := candidates[i].MED; m < minMED {
+			minMED = m
+		}
+	}
+	eliminate(StepMED, func(r *Route) bool { return r.MED == minMED })
+
+	if cfg.PreferEBGP {
+		anyEBGP := false
+		for _, i := range alive {
+			if candidates[i].EBGP {
+				anyEBGP = true
+				break
+			}
+		}
+		if anyEBGP {
+			eliminate(StepEBGP, func(r *Route) bool { return r.EBGP })
+		}
+	}
+
+	if cfg.CompareIGPCost {
+		minCost := ^uint32(0)
+		for _, i := range alive {
+			if c := candidates[i].IGPCost; c < minCost {
+				minCost = c
+			}
+		}
+		eliminate(StepIGPCost, func(r *Route) bool { return r.IGPCost == minCost })
+	}
+
+	minPeer := ^RouterID(0)
+	for _, i := range alive {
+		if p := candidates[i].Peer; p < minPeer {
+			minPeer = p
+		}
+	}
+	eliminate(StepRouterID, func(r *Route) bool { return r.Peer == minPeer })
+
+	return alive[0], elim
+}
+
+// configSteps lists the steps cfg runs, in order.
+func configSteps(cfg DecisionConfig) []Step {
+	steps := []Step{StepLocalPref, StepASPathLen}
+	if cfg.CompareOrigin {
+		steps = append(steps, StepOrigin)
+	}
+	steps = append(steps, StepMED)
+	if cfg.PreferEBGP {
+		steps = append(steps, StepEBGP)
+	}
+	if cfg.CompareIGPCost {
+		steps = append(steps, StepIGPCost)
+	}
+	return append(steps, StepRouterID)
+}
+
+// randomCandidates draws n candidates over narrow attribute ranges and
+// forces ties: most candidates copy an earlier one and then differ from
+// it only at one randomly chosen step, so every step of cfg decides some
+// comparisons. Peers are distinct unless dupPeers is set, in which case a
+// copy may keep its source's peer and tie with it at every step.
+func randomCandidates(rng *rand.Rand, cfg DecisionConfig, n int, dupPeers bool) []*Route {
+	steps := configSteps(cfg)
+	cands := make([]*Route, n)
+	for i := range cands {
+		peer := MakeRouterID(ASN(1+rng.Intn(4)), uint16(i))
+		if i > 0 && rng.Intn(4) != 0 {
+			c := *cands[rng.Intn(i)]
+			if !dupPeers || rng.Intn(3) != 0 {
+				c.Peer = peer
+			}
+			switch steps[rng.Intn(len(steps))] {
+			case StepLocalPref:
+				c.LocalPref += uint32(1 + rng.Intn(2))
+			case StepASPathLen:
+				c.Path = append(c.Path.Clone(), ASN(1+rng.Intn(9)))
+			case StepOrigin:
+				c.Origin = (c.Origin + 1) % 3
+			case StepMED:
+				c.MED = uint32(rng.Intn(3) * 50)
+			case StepEBGP:
+				c.EBGP = !c.EBGP
+			case StepIGPCost:
+				c.IGPCost = uint32(rng.Intn(4))
+			}
+			cands[i] = &c
+			continue
+		}
+		p := make(Path, 1+rng.Intn(3))
+		for j := range p {
+			p[j] = ASN(1 + rng.Intn(9))
+		}
+		cands[i] = &Route{
+			LocalPref: uint32(100 + 10*rng.Intn(2)),
+			MED:       uint32(rng.Intn(3) * 50),
+			Path:      p,
+			Peer:      peer,
+			EBGP:      rng.Intn(2) == 0,
+			IGPCost:   uint32(rng.Intn(4)),
+			Origin:    Origin(rng.Intn(3)),
+		}
+	}
+	return cands
+}
+
+func TestDecideMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  DecisionConfig
+	}{{"quasi", QuasiRouterConfig}, {"ground-truth", GroundTruthConfig}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(15))
+			buf := make([]Step, 0, 4)
+			for trial := 0; trial < 3000; trial++ {
+				dup := trial%5 == 4
+				cands := randomCandidates(rng, tc.cfg, 1+rng.Intn(12), dup)
+				wantBest, wantElim := referenceDecide(tc.cfg, cands)
+				for _, b := range [][]Step{nil, buf} {
+					best, elim := Decide(tc.cfg, cands, b)
+					if best != wantBest || !slices.Equal(elim, wantElim) {
+						t.Fatalf("trial %d: Decide = %d %v, reference = %d %v\ncands %v",
+							trial, best, elim, wantBest, wantElim, cands)
+					}
+				}
+				w := cands[wantBest]
+				for i, c := range cands {
+					if step, _ := Compare(tc.cfg, c, w); step != wantElim[i] {
+						t.Fatalf("trial %d: candidate %d elim %v, Compare vs winner says %v", trial, i, wantElim[i], step)
+					}
+				}
+				if dup {
+					continue // the first of fully tied candidates wins by position
+				}
+				perm := rng.Perm(len(cands))
+				shuffled := make([]*Route, len(cands))
+				for i, j := range perm {
+					shuffled[i] = cands[j]
+				}
+				best, elim := Decide(tc.cfg, shuffled, nil)
+				if shuffled[best] != w {
+					t.Fatalf("trial %d: permutation changed the winner", trial)
+				}
+				for i, j := range perm {
+					if elim[i] != wantElim[j] {
+						t.Fatalf("trial %d: permutation changed candidate %d's elim: %v vs %v", trial, j, elim[i], wantElim[j])
+					}
+				}
+			}
+		})
+	}
+}
+
+func TestCompareIsATotalOrder(t *testing.T) {
+	for _, cfg := range []DecisionConfig{QuasiRouterConfig, GroundTruthConfig} {
+		rng := rand.New(rand.NewSource(16))
+		for trial := 0; trial < 300; trial++ {
+			cands := randomCandidates(rng, cfg, 2+rng.Intn(8), false)
+			for _, a := range cands {
+				for _, b := range cands {
+					sab, cab := Compare(cfg, a, b)
+					sba, cba := Compare(cfg, b, a)
+					if sab != sba || cab != -cba {
+						t.Fatalf("not antisymmetric: Compare(a,b) = %v %d, Compare(b,a) = %v %d", sab, cab, sba, cba)
+					}
+					if (cab == 0) != (a == b) {
+						t.Fatalf("distinct peers must never tie: %v vs %v", a, b)
+					}
+					for _, c := range cands {
+						_, cbc := Compare(cfg, b, c)
+						_, cac := Compare(cfg, a, c)
+						if cab < 0 && cbc < 0 && cac >= 0 {
+							t.Fatalf("not transitive: %v < %v < %v but not %v < %v", a, b, c, a, c)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestDecideAllocationFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	cands := randomCandidates(rng, GroundTruthConfig, 12, false)
+	buf := make([]Step, 0, len(cands))
+	if allocs := testing.AllocsPerRun(100, func() {
+		Decide(GroundTruthConfig, cands, buf)
+	}); allocs != 0 {
+		t.Fatalf("Decide with an elim buffer allocates %.1f times per call, want 0", allocs)
 	}
 }
 

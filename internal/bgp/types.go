@@ -256,7 +256,11 @@ func (k PathKey) Len() int { return len(k) / 4 }
 
 // Route is a BGP route for a prefix together with the attributes that
 // participate in the decision process. Routes are immutable once published
-// to a RIB; policy application copies before modifying.
+// to a RIB or sent on a session: the simulator shares one route across
+// every session it is advertised on and every router that installs it
+// unchanged, so policy application copies before modifying, and code
+// that is handed a published route (export hooks, RIB and best-route
+// accessors) must only read it.
 type Route struct {
 	// Prefix is a dense index identifying the destination prefix within a
 	// simulation (the paper originates one prefix per AS, §4.1). Mapping to

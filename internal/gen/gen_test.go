@@ -1,11 +1,13 @@
 package gen
 
 import (
+	"errors"
 	"testing"
 
 	"asmodel/internal/bgp"
 	"asmodel/internal/dataset"
 	"asmodel/internal/relation"
+	"asmodel/internal/sim"
 	"asmodel/internal/topology"
 )
 
@@ -264,6 +266,24 @@ func TestRunOne(t *testing.T) {
 	if in.PrefixName(0) != dataset.SyntheticPrefix(in.ASNs()[0]) {
 		t.Errorf("PrefixName(0)=%s", in.PrefixName(0))
 	}
+	checkBestEveryPrefix(t, in)
+}
+
+// checkBestEveryPrefix runs every prefix of the ground truth — iBGP with
+// hot-potato costs, relationship hooks and weird policies — and checks
+// that each router's incrementally maintained best route is the
+// decision-process winner, diverging prefixes included (a cut-off run
+// must leave the state consistent too).
+func checkBestEveryPrefix(t *testing.T, in *Internet) {
+	t.Helper()
+	for p := 0; p < in.NumPrefixes(); p++ {
+		if err := in.RunOne(bgp.PrefixID(p)); err != nil && !errors.Is(err, sim.ErrDiverged) {
+			t.Fatalf("prefix %d: %v", p, err)
+		}
+		if err := in.RS.Net.CheckBest(); err != nil {
+			t.Fatalf("prefix %d: %v", p, err)
+		}
+	}
 }
 
 func TestParallelLinksExist(t *testing.T) {
@@ -427,6 +447,7 @@ func TestRouteReflectorGeneration(t *testing.T) {
 	if rrCount == 0 {
 		t.Fatal("no RR ASes generated")
 	}
+	checkBestEveryPrefix(t, in)
 	ds, err := in.RunAll()
 	if err != nil {
 		t.Fatal(err)

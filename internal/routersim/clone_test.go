@@ -4,9 +4,7 @@ import "testing"
 
 func TestCloneStartsQuiescentAndConvergesIdentically(t *testing.T) {
 	parent := buildHotPotato(t)
-	if err := parent.RunPrefix(1, 20); err != nil {
-		t.Fatal(err)
-	}
+	mustRunPrefix(t, parent, 1, 20)
 	clone := parent.Clone()
 
 	// A clone starts quiescent even when the parent has run a prefix.
@@ -19,9 +17,7 @@ func TestCloneStartsQuiescentAndConvergesIdentically(t *testing.T) {
 	}
 
 	// Running the same prefix on the clone converges to the same choices.
-	if err := clone.RunPrefix(1, 20); err != nil {
-		t.Fatal(err)
-	}
+	mustRunPrefix(t, clone, 1, 20)
 	for _, asn := range parent.ASNs() {
 		pa, ca := parent.AS(asn), clone.AS(asn)
 		for i := range pa.Routers {
@@ -42,9 +38,7 @@ func TestCloneStartsQuiescentAndConvergesIdentically(t *testing.T) {
 
 func TestCloneMutationsNeverLeakToParent(t *testing.T) {
 	parent := buildHotPotato(t)
-	if err := parent.RunPrefix(1, 20); err != nil {
-		t.Fatal(err)
-	}
+	mustRunPrefix(t, parent, 1, 20)
 	wantR2Exit := parent.AS(10).Routers[2].Best().Peer
 
 	clone := parent.Clone()
@@ -64,9 +58,7 @@ func TestCloneMutationsNeverLeakToParent(t *testing.T) {
 			}
 		}
 	}
-	if err := clone.RunPrefix(1, 20); err != nil {
-		t.Fatal(err)
-	}
+	mustRunPrefix(t, clone, 1, 20)
 	if best := clone.AS(10).Routers[0].Best(); best != nil {
 		t.Fatalf("clone AS10 still routes the prefix after link removal: %v", best.Path)
 	}
@@ -82,9 +74,7 @@ func TestCloneMutationsNeverLeakToParent(t *testing.T) {
 			}
 		}
 	}
-	if err := parent.RunPrefix(1, 20); err != nil {
-		t.Fatal(err)
-	}
+	mustRunPrefix(t, parent, 1, 20)
 	if got := parent.AS(10).Routers[2].Best().Peer; got != wantR2Exit {
 		t.Errorf("parent hot-potato exit changed after clone mutation: %s != %s", got, wantR2Exit)
 	}
@@ -108,9 +98,7 @@ func TestCloneSharesIGPMatrices(t *testing.T) {
 		}
 	}
 	// And the clone's IGP callback reads them: hot-potato behaves the same.
-	if err := clone.RunPrefix(1, 20); err != nil {
-		t.Fatal(err)
-	}
+	mustRunPrefix(t, clone, 1, 20)
 	r2 := clone.AS(10).Routers[2]
 	if r2.Best() == nil || r2.Best().IGPCost == 0 {
 		t.Error("clone's IGP-cost callback not wired to the shared matrices")

@@ -48,6 +48,18 @@ func TestBuildErrors(t *testing.T) {
 // respectively. Hot-potato routing makes routers 0 and 1 pick different
 // exits, so AS 30 and AS 40 receive the same AS-path "10 20" but through
 // different links — and a vantage point inside AS 10 sees the diversity.
+// mustRunPrefix propagates one prefix and checks that every router's
+// incrementally maintained best route is the decision-process winner.
+func mustRunPrefix(t *testing.T, in *Internet, prefix bgp.PrefixID, origin bgp.ASN) {
+	t.Helper()
+	if err := in.RunPrefix(prefix, origin); err != nil {
+		t.Fatalf("prefix %d: %v", prefix, err)
+	}
+	if err := in.Net.CheckBest(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func buildHotPotato(t *testing.T) *Internet {
 	t.Helper()
 	in := New()
@@ -76,9 +88,7 @@ func buildHotPotato(t *testing.T) *Internet {
 
 func TestHotPotatoExitSelection(t *testing.T) {
 	in := buildHotPotato(t)
-	if err := in.RunPrefix(1, 20); err != nil {
-		t.Fatal(err)
-	}
+	mustRunPrefix(t, in, 1, 20)
 	a10 := in.AS(10)
 	r0, r1, r2 := a10.Routers[0], a10.Routers[1], a10.Routers[2]
 	// Routers 0 and 1 have their own eBGP sessions: they keep them.
@@ -93,9 +103,7 @@ func TestHotPotatoExitSelection(t *testing.T) {
 
 func TestObserve(t *testing.T) {
 	in := buildHotPotato(t)
-	if err := in.RunPrefix(1, 20); err != nil {
-		t.Fatal(err)
-	}
+	mustRunPrefix(t, in, 1, 20)
 	vps := []VantagePoint{
 		{ID: "op10-0", Router: in.AS(10).Routers[0]},
 		{ID: "op30-0", Router: in.AS(30).Routers[0]},
@@ -135,9 +143,7 @@ func TestObserveSkipsRouteless(t *testing.T) {
 	in.AddAS(20, 1)
 	// No eBGP link at all: AS10 never learns AS20's prefix.
 	in.Finalize()
-	if err := in.RunPrefix(1, 20); err != nil {
-		t.Fatal(err)
-	}
+	mustRunPrefix(t, in, 1, 20)
 	ds := &dataset.Dataset{}
 	Observe(ds, "P20", 0, []VantagePoint{{ID: "op10-0", Router: in.AS(10).Routers[0]}})
 	if ds.Len() != 0 {
@@ -153,9 +159,7 @@ func TestDisconnectedIGPStillConverges(t *testing.T) {
 	in.AddAS(20, 1)
 	in.ConnectAS(10, 0, 20, 0)
 	in.Finalize()
-	if err := in.RunPrefix(1, 20); err != nil {
-		t.Fatal(err)
-	}
+	mustRunPrefix(t, in, 1, 20)
 	r1 := in.AS(10).Routers[1]
 	if r1.Best() == nil {
 		t.Fatal("router 1 should learn via iBGP despite missing IGP link")
@@ -168,9 +172,7 @@ func TestDisconnectedIGPStillConverges(t *testing.T) {
 func TestMultiplePrefixesSequential(t *testing.T) {
 	in := buildHotPotato(t)
 	for i, origin := range []bgp.ASN{20, 30, 40} {
-		if err := in.RunPrefix(bgp.PrefixID(i), origin); err != nil {
-			t.Fatalf("prefix %d: %v", i, err)
-		}
+		mustRunPrefix(t, in, bgp.PrefixID(i), origin)
 		if got := in.Net.Prefix(); got != bgp.PrefixID(i) {
 			t.Errorf("network prefix = %d", got)
 		}
@@ -229,9 +231,7 @@ func TestRouteReflector(t *testing.T) {
 	in.SetIGPLink(10, 0, 1, 1)
 	in.SetIGPLink(10, 0, 2, 1)
 	in.Finalize()
-	if err := in.RunPrefix(1, 20); err != nil {
-		t.Fatal(err)
-	}
+	mustRunPrefix(t, in, 1, 20)
 	r0, r2 := a.Routers[0], a.Routers[2]
 	if r0.Best() == nil {
 		t.Fatal("reflector did not learn the client route")
@@ -270,9 +270,7 @@ func TestRouteReflectorHidesDiversity(t *testing.T) {
 	}
 	in.SetIGPLink(20, 0, 1, 1)
 	in.Finalize()
-	if err := in.RunPrefix(1, 20); err != nil {
-		t.Fatal(err)
-	}
+	mustRunPrefix(t, in, 1, 20)
 	r3 := a.Routers[3]
 	routes, _ := r3.RIBIn()
 	if len(routes) != 1 {

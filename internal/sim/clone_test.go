@@ -120,6 +120,9 @@ func TestCloneIsolation(t *testing.T) {
 	if err := clone.Run(1, []bgp.RouterID{origin}); err != nil {
 		t.Fatalf("clone Run: %v", err)
 	}
+	if err := clone.CheckBest(); err != nil {
+		t.Fatal(err)
+	}
 
 	if got := snapshotPolicies(net); !reflect.DeepEqual(got, wantPolicies) {
 		t.Errorf("original policies changed by clone mutation:\n got %+v\nwant %+v", got, wantPolicies)

@@ -29,7 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"asmodel/internal/bgp"
@@ -136,6 +136,7 @@ type Network struct {
 	sessions int
 	queue    []message
 	qHead    int
+	origins  []bgp.RouterID // per-run scratch: the sorted origins
 
 	prefix bgp.PrefixID
 	ran    bool
@@ -173,7 +174,10 @@ type Router struct {
 	ribIn []*bgp.Route // per peer index; nil = no route
 	local *bgp.Route   // locally originated route for the current prefix
 	best  *bgp.Route
-	adv   []*bgp.Route // last advertisement sent per peer (post-export-transform)
+	// bestSlot is the candidate slot best came from: -1 for the local
+	// route, else its ribIn index. Meaningful only while best != nil.
+	bestSlot int
+	adv      []*bgp.Route // last advertisement sent per peer (post-export-transform)
 
 	touchGen uint64 // generation of the run that last touched this router
 }
@@ -195,13 +199,16 @@ type Peer struct {
 	disabled   bool
 
 	// ImportHook, if non-nil, runs after per-prefix import actions; it may
-	// modify the route in place or return false to deny it. Used by the
+	// modify the route in place or return false to deny it. It always
+	// receives a private copy of the inbound route. Used by the
 	// relationship-based baseline to assign local-pref by business
 	// relationship.
 	ImportHook func(r *bgp.Route) bool
 	// ExportHook, if non-nil, runs before a best route is advertised to
 	// Remote; returning false suppresses the advertisement. Used to
-	// implement valley-free export rules.
+	// implement valley-free export rules. It receives the router's
+	// published best route, which other sessions and routers may share:
+	// it must only read it.
 	ExportHook func(r *bgp.Route) bool
 
 	// Client marks this iBGP session direction as leading to a
@@ -436,9 +443,9 @@ func (n *Network) RunBudget(ctx context.Context, prefix bgp.PrefixID, origins []
 		return fmt.Errorf("sim: propagation of prefix %d not started: %w", prefix, err)
 	}
 
-	sorted := make([]bgp.RouterID, len(origins))
-	copy(sorted, origins)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := append(n.origins[:0], origins...)
+	slices.Sort(sorted)
+	n.origins = sorted
 
 	for _, id := range sorted {
 		r := n.byID[id]
@@ -527,12 +534,13 @@ func (n *Network) drainQueue() {
 	n.qHead = 0
 }
 
+// reset clears the per-prefix state of the last run. Only the routers
+// that run touched can hold any: every other router neither received a
+// delivery nor originated.
 func (n *Network) reset() {
-	for _, r := range n.routers {
-		for i := range r.ribIn {
-			r.ribIn[i] = nil
-			r.adv[i] = nil
-		}
+	for _, r := range n.touched {
+		clear(r.ribIn)
+		clear(r.adv)
 		r.local = nil
 		r.best = nil
 	}
@@ -572,6 +580,14 @@ func (n *Network) enqueue(m message) {
 }
 
 // deliver processes one inbound message on peers[peerIdx].
+//
+// The best route is updated incrementally. The decision process is a
+// total order (bgp.Compare) with candidates ranked local route first,
+// then RIB-In in session order on a full tie, and the best is the
+// minimum of that order. Replacing a slot that did not hold the best can
+// only lower the minimum to the new route, so one comparison decides it;
+// only when the best's own slot changes is the minimum lost, and then
+// the candidates are rescanned.
 func (r *Router) deliver(peerIdx int, in *bgp.Route) {
 	r.net.markTouched(r)
 	p := r.peers[peerIdx]
@@ -590,7 +606,14 @@ func (r *Router) deliver(peerIdx int, in *bgp.Route) {
 	}
 	r.ribIn[peerIdx] = rt
 	oldBest := r.best
-	r.recomputeBest()
+	switch {
+	case oldBest != nil && r.bestSlot == peerIdx:
+		r.recomputeBest()
+	case rt != nil && r.beatsBest(rt, peerIdx):
+		r.best, r.bestSlot = rt, peerIdx
+	default:
+		return
+	}
 	if !routesEqual(oldBest, r.best) {
 		r.net.stats.BestChanges++
 		r.exportAll()
@@ -599,7 +622,9 @@ func (r *Router) deliver(peerIdx int, in *bgp.Route) {
 
 // applyImport runs the import pipeline: eBGP loop check, per-prefix
 // actions, hook, and iBGP/eBGP attribute fixups. It returns nil when the
-// route is denied (treated as a withdrawal).
+// route is denied (treated as a withdrawal). The inbound route is shared
+// with its sender, so it is copied only when the pipeline changes it or
+// a hook needs a private copy.
 func (r *Router) applyImport(p *Peer, in *bgp.Route) *bgp.Route {
 	if in == nil || p.disabled {
 		return nil
@@ -607,61 +632,108 @@ func (r *Router) applyImport(p *Peer, in *bgp.Route) *bgp.Route {
 	if p.EBGP && in.Path.Contains(r.AS) {
 		return nil // standard eBGP loop rejection
 	}
-	rt := in.Clone()
-	if p.importActs != nil {
-		if a, ok := p.importActs[rt.Prefix]; ok {
-			if a.deny {
-				return nil
-			}
-			if a.hasMED {
-				rt.MED = a.med
-			}
-			if a.hasLP {
-				rt.LocalPref = a.lp
-			}
-		}
-	}
-	if p.ImportHook != nil && !p.ImportHook(rt) {
+	a := p.importActs[in.Prefix]
+	if a.deny {
 		return nil
 	}
-	if p.EBGP {
-		rt.EBGP = true
-		rt.IGPCost = 0
-	} else {
-		rt.EBGP = false
-		if r.net.IGPCost != nil {
-			rt.IGPCost = r.net.IGPCost(r.ID, rt.Peer)
+	rt := in
+	if p.ImportHook != nil || (a.hasMED && a.med != in.MED) || (a.hasLP && a.lp != in.LocalPref) {
+		rt = in.Clone()
+		if a.hasMED {
+			rt.MED = a.med
 		}
+		if a.hasLP {
+			rt.LocalPref = a.lp
+		}
+		if p.ImportHook != nil && !p.ImportHook(rt) {
+			return nil
+		}
+	}
+	cost := rt.IGPCost
+	if p.EBGP {
+		cost = 0
+	} else if r.net.IGPCost != nil {
+		cost = r.net.IGPCost(r.ID, rt.Peer)
+	}
+	if rt.EBGP != p.EBGP || rt.IGPCost != cost {
+		if rt == in {
+			rt = in.Clone()
+		}
+		rt.EBGP, rt.IGPCost = p.EBGP, cost
 	}
 	return rt
 }
 
-// recomputeBest runs the decision process over the local route and RIB-In.
-func (r *Router) recomputeBest() {
-	var candsBuf [24]*bgp.Route
-	cands := candsBuf[:0]
-	if r.local != nil {
-		cands = append(cands, r.local)
+// beatsBest reports whether rt, a candidate in the given slot (-1 for the
+// local route), ranks before the current best: it is preferred by the
+// decision process, or ties it at every step from an earlier slot.
+func (r *Router) beatsBest(rt *bgp.Route, slot int) bool {
+	if r.best == nil {
+		return true
 	}
-	for _, rt := range r.ribIn {
-		if rt != nil {
-			cands = append(cands, rt)
+	_, c := bgp.Compare(r.net.cfg, rt, r.best)
+	return c < 0 || (c == 0 && slot < r.bestSlot)
+}
+
+// recomputeBest rescans the local route and RIB-In for the best route.
+func (r *Router) recomputeBest() {
+	r.best, r.bestSlot = r.local, -1
+	for i, rt := range r.ribIn {
+		if rt != nil && r.beatsBest(rt, i) {
+			r.best, r.bestSlot = rt, i
 		}
 	}
-	if len(cands) == 0 {
-		r.best = nil
-		return
-	}
-	best, _ := bgp.Decide(r.net.cfg, cands, nil)
-	r.best = cands[best]
 }
 
 // exportAll (re-)advertises the current best route to every peer, sending
 // only when the advertisement differs from the last one sent on that
 // session (including withdrawals when the route becomes unexportable).
+// The advertisement is the same route on every eBGP session, and on every
+// iBGP one, so each is built at most once per call and shared by every
+// session (and every receiver) it goes to.
 func (r *Router) exportAll() {
+	best := r.best
+	// from is the session an iBGP-learned best arrived on: the iBGP
+	// re-advertisement rules depend on it.
+	var from *Peer
+	ibgpLearned := best != nil && !best.EBGP && best != r.local
+	if ibgpLearned {
+		from = r.PeerTo(best.Peer)
+	}
+	var ebgpAdv, ibgpAdv *bgp.Route
 	for i, p := range r.peers {
-		out := r.transformExport(p)
+		var out *bgp.Route
+		if r.exportable(p, ibgpLearned, from) {
+			if p.EBGP {
+				if ebgpAdv == nil {
+					ebgpAdv = &bgp.Route{
+						Prefix:    best.Prefix,
+						Path:      best.Path.Prepend(r.AS),
+						LocalPref: bgp.DefaultLocalPref,
+						MED:       bgp.DefaultMED,
+						Origin:    best.Origin,
+						Peer:      r.ID,
+						EBGP:      true,
+					}
+				}
+				out = ebgpAdv
+			} else {
+				// iBGP: attributes propagate unchanged; announcing router
+				// becomes the next hop (next-hop-self at the ingress
+				// border router).
+				if ibgpAdv == nil {
+					ibgpAdv = &bgp.Route{
+						Prefix:    best.Prefix,
+						Path:      best.Path,
+						LocalPref: best.LocalPref,
+						MED:       best.MED,
+						Origin:    best.Origin,
+						Peer:      r.ID,
+					}
+				}
+				out = ibgpAdv
+			}
+		}
 		if routesEqual(r.adv[i], out) {
 			continue
 		}
@@ -670,59 +742,30 @@ func (r *Router) exportAll() {
 	}
 }
 
-// transformExport computes the advertisement for peer p, or nil when the
-// best route must not (or cannot) be advertised there.
-func (r *Router) transformExport(p *Peer) *bgp.Route {
+// exportable reports whether the best route may be advertised to peer p.
+// ibgpLearned and from describe the best as exportAll computed them.
+func (r *Router) exportable(p *Peer, ibgpLearned bool, from *Peer) bool {
 	best := r.best
 	if best == nil || p.disabled {
-		return nil
+		return false
 	}
 	// iBGP re-advertisement rule: in a full mesh an iBGP-learned route is
 	// never re-advertised over iBGP; a route reflector (RFC 4456)
 	// additionally reflects iBGP routes to its clients, and routes
 	// learned from a client to everyone.
-	if !p.EBGP && !best.EBGP && best != r.local {
-		fromClient := false
-		if from := r.PeerTo(best.Peer); from != nil && from.Client {
-			fromClient = true
-		}
+	if !p.EBGP && ibgpLearned {
+		fromClient := from != nil && from.Client
 		if !p.Client && !fromClient {
-			return nil
+			return false
 		}
-		if from := r.PeerTo(best.Peer); from != nil && from.Remote == p.Remote {
-			return nil // never reflect a route back to its announcer
-		}
-	}
-	if p.exportDeny != nil {
-		if _, deny := p.exportDeny[best.Prefix]; deny {
-			return nil
+		if from != nil && from.Remote == p.Remote {
+			return false // never reflect a route back to its announcer
 		}
 	}
-	if p.ExportHook != nil && !p.ExportHook(best) {
-		return nil
+	if _, deny := p.exportDeny[best.Prefix]; deny {
+		return false
 	}
-	if p.EBGP {
-		return &bgp.Route{
-			Prefix:    best.Prefix,
-			Path:      best.Path.Prepend(r.AS),
-			LocalPref: bgp.DefaultLocalPref,
-			MED:       bgp.DefaultMED,
-			Origin:    best.Origin,
-			Peer:      r.ID,
-			EBGP:      true,
-		}
-	}
-	// iBGP: attributes propagate unchanged; announcing router becomes the
-	// next hop (next-hop-self at the ingress border router).
-	return &bgp.Route{
-		Prefix:    best.Prefix,
-		Path:      best.Path,
-		LocalPref: best.LocalPref,
-		MED:       best.MED,
-		Origin:    best.Origin,
-		Peer:      r.ID,
-		EBGP:      false,
-	}
+	return p.ExportHook == nil || p.ExportHook(best)
 }
 
 // routesEqual compares the wire-visible attributes of two routes (or nils).
@@ -762,6 +805,25 @@ func (r *Router) RIBIn() (routes []*bgp.Route, from []*Peer) {
 
 // RIBInAt returns the route learned on peers[i], or nil.
 func (r *Router) RIBInAt(i int) *bgp.Route { return r.ribIn[i] }
+
+// CheckBest re-runs the full decision process at every router and returns
+// an error naming the first one whose best route is not the winner over
+// its current candidates. Propagation maintains Best incrementally; this
+// is the check that the incremental update agrees with bgp.Decide, for
+// tests to call after a Run.
+func (n *Network) CheckBest() error {
+	for _, r := range n.routers {
+		cands, _ := r.DecideRIB()
+		var want *bgp.Route
+		if best, _ := bgp.Decide(n.cfg, cands, nil); best >= 0 {
+			want = cands[best]
+		}
+		if r.best != want {
+			return fmt.Errorf("sim: router %s holds best %v, but the decision process picks %v", r.ID, r.best, want)
+		}
+	}
+	return nil
+}
 
 // DecideRIB re-runs the decision process over the router's current
 // candidates (local route + RIB-In) and returns the candidates together

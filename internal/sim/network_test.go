@@ -37,6 +37,9 @@ func mustRun(t testing.TB, n *Network, prefix bgp.PrefixID, origins ...bgp.Route
 	if err := n.Run(prefix, origins); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	if err := n.CheckBest(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestLinePropagation(t *testing.T) {
@@ -376,6 +379,11 @@ func TestDivergenceDetected(t *testing.T) {
 	if !st.Diverged || st.BudgetUsed() <= 1.0 {
 		t.Errorf("diverged run stats = %+v", st)
 	}
+	// The best route tracks the RIB after every delivery, so even an
+	// oscillation cut off mid-flight leaves it consistent.
+	if err := net.CheckBest(); err != nil {
+		t.Error(err)
+	}
 }
 
 // badGadget builds the 3-cycle oscillator of TestDivergenceDetected and
@@ -625,7 +633,9 @@ func BenchmarkRunLine100(b *testing.B) {
 	}
 }
 
-func BenchmarkRunRandom500(b *testing.B) {
+// buildRandom500 is the BenchmarkRunRandom500 topology: 500 one-router
+// ASes, a random spanning tree plus up to two extra random sessions each.
+func buildRandom500() (*Network, []*Router) {
 	rng := rand.New(rand.NewSource(1))
 	net := NewNetwork(bgp.QuasiRouterConfig)
 	const n = 500
@@ -642,10 +652,15 @@ func BenchmarkRunRandom500(b *testing.B) {
 			}
 		}
 	}
+	return net, rs
+}
+
+func BenchmarkRunRandom500(b *testing.B) {
+	net, rs := buildRandom500()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := net.Run(1, []bgp.RouterID{rs[i%n].ID}); err != nil {
+		if err := net.Run(1, []bgp.RouterID{rs[i%len(rs)].ID}); err != nil {
 			b.Fatal(err)
 		}
 	}
