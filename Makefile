@@ -50,10 +50,11 @@ bench-go:
 bench-gen:
 	$(GO) run ./cmd/parbench -mode gen -reps 1 -gen-out BENCH_gen.json
 
-# Fast smoke of speculative refinement: one repetition per worker count,
-# exits non-zero unless every count's model bytes, result counts and
-# redacted trace match the sequential refinement. Writes to a scratch
-# path so the checked-in BENCH_parallel.json keeps its full-reps numbers.
+# Fast worker-count identity smoke of refinement: one repetition per
+# worker count, exits non-zero unless every count's model bytes, result
+# counts and redacted trace match the sequential refinement. Writes to a
+# scratch path so the checked-in BENCH_parallel.json keeps its full-reps
+# numbers.
 bench-refine:
 	$(GO) run ./cmd/parbench -mode refine -reps 1 -out /tmp/BENCH_refine_smoke.json
 

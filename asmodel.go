@@ -24,9 +24,8 @@
 // fans prefixes across a worker pool of deep model clones and merges
 // results deterministically, so it returns exactly what Evaluate would for
 // any worker count (DefaultWorkers sizes the pool to the CPU count).
-// RefineConfig.Workers parallelizes the whole refinement — the mutating
-// iterations run speculatively on pooled clones with a sequential
-// worklist-order merge, and the verify sweep fans out over the same pool —
+// RefineConfig.Workers fans refinement's read-only verify sweep out over
+// the same kind of pool (the mutating iterations are a sequential walk),
 // with the identical byte-for-byte guarantee:
 //
 //	ev, err := m.EvaluateParallel(ctx, valid, asmodel.DefaultWorkers())
@@ -118,9 +117,8 @@ type (
 	// WorkerPanicError is a panic recovered inside a worker of any
 	// parallel prefix sweep, attributed to the prefix that raised it.
 	// Op names the sweep: "evaluate" (Model.EvaluateParallel),
-	// "verify" (the refine verify sweep), "refine" (a speculative
-	// refinement worker), "generate" (ground-truth generation) or
-	// "serve" (a serving snapshot's route-table build).
+	// "verify" (the refine verify sweep), "generate" (ground-truth
+	// generation) or "serve" (a serving snapshot's route-table build).
 	WorkerPanicError = model.WorkerPanicError
 	// IngestOptions selects strict (abort on first malformed record) or
 	// lenient (skip, count, bounded by MaxRecordErrors) ingestion.
@@ -132,9 +130,8 @@ type (
 
 // DefaultWorkers is the worker-pool size Model.EvaluateParallel and
 // RefineConfig.Workers use for "one worker per available CPU": it returns
-// runtime.GOMAXPROCS(0). For refinement the pool drives both the
-// speculative refine iterations and the parallel verify sweep; outputs
-// are byte-identical at any worker count.
+// runtime.GOMAXPROCS(0). For refinement the pool runs the verify sweep;
+// outputs are byte-identical at any worker count.
 func DefaultWorkers() int { return pool.DefaultWorkers() }
 
 // LoadCheckpointFile reads a refinement checkpoint written during a

@@ -333,7 +333,7 @@ func cmdRefine(ctx context.Context, args []string) error {
 	checkpoint := fs.String("checkpoint", "", "write a crash-safe refinement checkpoint to this file (atomic rename; also on SIGINT/SIGTERM)")
 	ckptEvery := fs.Int("checkpoint-every", model.DefaultCheckpointEvery, "iterations between checkpoints (with -checkpoint)")
 	resume := fs.Bool("resume", false, "resume refinement from the -checkpoint file instead of starting fresh")
-	workers := fs.Int("workers", pool.DefaultWorkers(), "worker-pool size for speculative refinement, the verify sweep and evaluations (1 = sequential; byte-identical results at any count)")
+	workers := fs.Int("workers", pool.DefaultWorkers(), "worker-pool size for the refine verify sweep and evaluations (1 = sequential; byte-identical results at any count)")
 	iopts := ingestFlags(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err

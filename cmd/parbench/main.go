@@ -5,10 +5,10 @@
 // The eval section times Model.EvaluateParallel over a refined model for
 // every worker count and checks the result is identical
 // (reflect.DeepEqual) to the sequential evaluation; the refine section
-// times a full speculative refinement per worker count and checks the
-// serialized model bytes, the RefineResult and the redacted trace stream
-// (events + spans) are byte-identical to the sequential refinement,
-// recording each count's speculation conflict rate. The gen section
+// times a full refinement per worker count (the workers run its verify
+// sweep) and checks the serialized model bytes, the RefineResult and the
+// redacted trace stream (events + spans) are byte-identical to the
+// sequential refinement. The gen section
 // times gen.Internet.RunAllParallel — the ground-truth generation that
 // dominates suite setup — on a freshly generated Internet per repetition
 // and checks the dataset bytes and the Weird/QuirksReverted bookkeeping
@@ -63,10 +63,6 @@ type workerRow struct {
 	// worker ever waited on the clone build or the shared cursor.
 	BusySeconds float64 `json:"busy_seconds"`
 	Utilization float64 `json:"utilization"`
-	// ConflictRate (refine rows only) is the fraction of speculations the
-	// merger discarded and re-ran on the canonical model: 0 means every
-	// prefix merged clean, 1 means speculation bought nothing.
-	ConflictRate float64 `json:"conflict_rate"`
 }
 
 type report struct {
@@ -331,8 +327,8 @@ func writeJSON(path string, v any) error {
 }
 
 // refinedRun is one fully observed refinement: the model, the result and
-// the redacted trace stream (events then spans) — the three outputs the
-// speculative-refinement determinism contract covers.
+// the redacted trace stream (events then spans) — the three outputs that
+// must be byte-identical at any worker count.
 type refinedRun struct {
 	m     *model.Model
 	res   *model.RefineResult
@@ -343,9 +339,6 @@ func runEval(out string, seed int64, reps int, counts []int, mode string) (*repo
 	cfg := experiments.DefaultConfig()
 	cfg.Seed = seed
 	busyHist := obs.GetHistogram("eval_worker_busy_seconds", "", nil)
-	refBusyHist := obs.GetHistogram("refine_worker_busy_seconds", "", nil)
-	specCtr := obs.GetCounter("refine_speculations_total", "")
-	conflictCtr := obs.GetCounter("refine_conflicts_total", "")
 	fmt.Fprintf(os.Stderr, "parbench: generating suite (seed=%d)...\n", seed)
 	s, err := experiments.NewSuite(cfg)
 	if err != nil {
@@ -442,13 +435,11 @@ func runEval(out string, seed int64, reps int, counts []int, mode string) (*repo
 		}
 	}
 
-	// Refinement: the sequential run vs speculative worker pools,
-	// compared by model bytes, RefineResult and the redacted trace
-	// stream. Busy time sums the speculation workers
-	// (refine_worker_busy_seconds) and the verify-sweep workers
-	// (eval_worker_busy_seconds), so utilization covers both parallel
-	// sections of the refinement — iteration barriers and the sequential
-	// merger are the idle remainder.
+	// Refinement: the sequential run vs each worker count, compared by
+	// model bytes, RefineResult and the redacted trace stream. Only the
+	// verify sweep runs on the workers, so busy time is the verify-sweep
+	// workers' (eval_worker_busy_seconds) and the sequential refine
+	// iterations are the idle remainder.
 	var wantBytes bytes.Buffer
 	if err := m.Save(&wantBytes); err != nil {
 		return nil, err
@@ -462,8 +453,7 @@ func runEval(out string, seed int64, reps int, counts []int, mode string) (*repo
 	}
 	for _, w := range counts {
 		var got *refinedRun
-		busy0 := busyHist.Sum() + refBusyHist.Sum()
-		specs0, conflicts0 := specCtr.Value(), conflictCtr.Value()
+		busy0 := busyHist.Sum()
 		ns, totalNs, err := minNs(reps, func() error {
 			var err error
 			got, err = buildRefined(w)
@@ -472,11 +462,7 @@ func runEval(out string, seed int64, reps int, counts []int, mode string) (*repo
 		if err != nil {
 			return nil, err
 		}
-		busy := busyHist.Sum() + refBusyHist.Sum() - busy0
-		conflictRate := 0.0
-		if specs := specCtr.Value() - specs0; specs > 0 {
-			conflictRate = float64(conflictCtr.Value()-conflicts0) / float64(specs)
-		}
+		busy := busyHist.Sum() - busy0
 		var gotBytes bytes.Buffer
 		if err := got.m.Save(&gotBytes); err != nil {
 			return nil, err
@@ -486,14 +472,13 @@ func runEval(out string, seed int64, reps int, counts []int, mode string) (*repo
 			bytes.Equal(got.trace, ref.trace)
 		rep.Refine = append(rep.Refine, workerRow{
 			Workers: w, NsOp: ns,
-			Speedup:      float64(rep.RefSeqNsOp) / float64(ns),
-			Identical:    identical,
-			BusySeconds:  busy,
-			Utilization:  utilization(busy, totalNs, w),
-			ConflictRate: conflictRate,
+			Speedup:     float64(rep.RefSeqNsOp) / float64(ns),
+			Identical:   identical,
+			BusySeconds: busy,
+			Utilization: utilization(busy, totalNs, w),
 		})
-		fmt.Fprintf(os.Stderr, "parbench: refine workers=%d %.2fms (%.2fx, util %.2f, conflicts %.2f)\n",
-			w, float64(ns)/1e6, float64(rep.RefSeqNsOp)/float64(ns), utilization(busy, totalNs, w), conflictRate)
+		fmt.Fprintf(os.Stderr, "parbench: refine workers=%d %.2fms (%.2fx, util %.2f)\n",
+			w, float64(ns)/1e6, float64(rep.RefSeqNsOp)/float64(ns), utilization(busy, totalNs, w))
 	}
 
 	for _, r := range append(append([]workerRow{}, rep.Evaluate...), rep.Refine...) {

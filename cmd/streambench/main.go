@@ -156,7 +156,7 @@ func main() {
 	out := flag.String("out", "BENCH_stream.json", "report output file")
 	seed := flag.Int64("seed", 7, "synthetic-internet generator seed")
 	batch := flag.Int("batch", 32, "records per stream batch")
-	workers := flag.Int("workers", 1, "speculative-refinement pool per batch")
+	workers := flag.Int("workers", 1, "verify-sweep pool of each batch refinement")
 	emit := flag.String("emit", "", "just emit the deterministic MRT update stream to this path and exit")
 	flag.Parse()
 	ctx := context.Background()

@@ -66,35 +66,8 @@ func TestEvaluateParallelRecoversPanic(t *testing.T) {
 
 // TestRefineVerifyRecoversPanic: a panic inside the parallel verify
 // sweep must abort the refinement with a typed error instead of
-// crashing or hanging the worker-pool merge. Speculation is disabled so
-// the hook fires in the verify sweep rather than a speculation worker
-// (that path has its own test below).
+// crashing or hanging the worker-pool merge.
 func TestRefineVerifyRecoversPanic(t *testing.T) {
-	_, ds := refineSample(t)
-	m, err := NewInitial(topology.FromDataset(ds), dataset.NewUniverse(ds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	installPanicHook(t, faultinject.NewPanicInjector(1))
-
-	_, err = m.Refine(ds, RefineConfig{Workers: 2, disableSpeculation: true})
-	var wp *WorkerPanicError
-	if !errors.As(err, &wp) {
-		t.Fatalf("want *WorkerPanicError, got %T: %v", err, err)
-	}
-	if wp.Op != "verify" {
-		t.Fatalf("Op = %q, want verify", wp.Op)
-	}
-	if wp.Prefix == "" || len(wp.Stack) == 0 {
-		t.Fatalf("incomplete panic context: %+v", wp)
-	}
-}
-
-// TestRefineSpeculateRecoversPanic: a panic inside a speculative
-// refinement worker surfaces as a typed *WorkerPanicError with Op
-// "refine", and the canonical model is untouched — the same refinement
-// succeeds afterwards.
-func TestRefineSpeculateRecoversPanic(t *testing.T) {
 	_, ds := refineSample(t)
 	m, err := NewInitial(topology.FromDataset(ds), dataset.NewUniverse(ds))
 	if err != nil {
@@ -107,22 +80,11 @@ func TestRefineSpeculateRecoversPanic(t *testing.T) {
 	if !errors.As(err, &wp) {
 		t.Fatalf("want *WorkerPanicError, got %T: %v", err, err)
 	}
-	if wp.Op != "refine" {
-		t.Fatalf("Op = %q, want refine", wp.Op)
+	if wp.Op != "verify" {
+		t.Fatalf("Op = %q, want verify", wp.Op)
 	}
 	if wp.Prefix == "" || len(wp.Stack) == 0 {
 		t.Fatalf("incomplete panic context: %+v", wp)
-	}
-
-	// Speculation runs on clones; the canonical model must still refine
-	// cleanly once the hook is gone.
-	pool.FaultHook = nil
-	m2, err := NewInitial(topology.FromDataset(ds), dataset.NewUniverse(ds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m2.Refine(ds, RefineConfig{Workers: 2}); err != nil {
-		t.Fatalf("refine after recovered panic: %v", err)
 	}
 }
 

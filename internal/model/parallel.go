@@ -180,11 +180,11 @@ type verifyOutcome struct {
 // match counts when observing). It performs no model mutation and no
 // worklist state changes — the caller applies outcomes in deterministic
 // worklist order — so any worker count yields the same refinement.
-// Clones come from the run's shared pool (rr.clonePool), already synced
-// to the canonical model, so the sweep never re-clones mid-run. Worker
-// spans attach under span (the verify-sweep span; nil is fine).
-func (rr *refineRun) verifyParallel(span *obs.Span, towork []*prefixWork, clones []*specClone) ([]verifyOutcome, error) {
-	mParWorkers.Set(int64(len(clones)))
+// Each worker takes a fresh Clone of the model, as EvaluateParallel's
+// do. Worker spans attach under span (the verify-sweep span; nil is
+// fine).
+func (rr *refineRun) verifyParallel(span *obs.Span, towork []*prefixWork, workers int) ([]verifyOutcome, error) {
+	mParWorkers.Set(int64(workers))
 	results := make([]verifyOutcome, len(towork))
 	sweep := pool.Sweep{
 		Op:    "verify",
@@ -192,8 +192,11 @@ func (rr *refineRun) verifyParallel(span *obs.Span, towork []*prefixWork, clones
 		Span:  span,
 		Items: mParPerWkr, Busy: mEvalBusy, Idle: mEvalIdle,
 	}
-	err := pool.Run(context.Background(), sweep, len(towork), len(clones),
-		func(wi int) *Model { return clones[wi].m },
+	err := pool.Run(context.Background(), sweep, len(towork), workers,
+		func(int) *Model {
+			mParClones.Inc()
+			return rr.m.Clone()
+		},
 		func(_ context.Context, c *Model, i int) error {
 			w, r := towork[i], &results[i]
 			if err := c.runPrefixBudget(context.Background(), w.id, w.budget); err != nil {

@@ -211,49 +211,3 @@ func TestModelCloneIsolation(t *testing.T) {
 		t.Errorf("source evaluation changed by clone mutation")
 	}
 }
-
-// TestRefineWorkersDeterminism refines two identical initial models, one
-// with the sequential verify sweep and one with a 4-worker pool, and
-// checks the refinements are indistinguishable: same result counters,
-// same serialized model bytes, same trace event stream.
-func TestRefineWorkersDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration test")
-	}
-	full := genDataset(t, 33)
-	train, _ := full.SplitByObsPoint(0.5, 33)
-	g := topology.FromDataset(full)
-	u := dataset.NewUniverse(full)
-
-	run := func(workers int) (*RefineResult, []RefineEvent, []byte) {
-		m, err := NewInitial(g, u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var events []RefineEvent
-		res, err := m.Refine(train, RefineConfig{
-			Workers:  workers,
-			Observer: func(ev RefineEvent) { events = append(events, ev) },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return res, events, buf.Bytes()
-	}
-
-	seqRes, seqEvents, seqBytes := run(0)
-	parRes, parEvents, parBytes := run(4)
-	if !reflect.DeepEqual(parRes, seqRes) {
-		t.Errorf("refine results differ:\n seq %+v\n par %+v", seqRes, parRes)
-	}
-	if !reflect.DeepEqual(parEvents, seqEvents) {
-		t.Errorf("trace streams differ: seq %d events, par %d events", len(seqEvents), len(parEvents))
-	}
-	if !bytes.Equal(parBytes, seqBytes) {
-		t.Errorf("serialized models differ: seq %d bytes, par %d bytes", len(seqBytes), len(parBytes))
-	}
-}

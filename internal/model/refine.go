@@ -13,9 +13,10 @@ import (
 	"asmodel/internal/sim"
 )
 
-// Refinement metrics, registered on the obs default registry and batched
-// per Refine call (per-iteration work is visible through the trace
-// observer, which stays deterministic — see RefineEvent).
+// Refinement metrics, registered on the obs default registry. Iterations,
+// edits, verify rounds and abandoned prefixes are counted live, where
+// they happen, so /metrics shows a run's progress; runs and the
+// iterations-per-run histogram are recorded when Refine returns.
 var (
 	mRefines    = obs.GetCounter("refine_runs_total", "Refine invocations")
 	mIterations = obs.GetCounter("refine_iterations_total", "refinement iterations executed")
@@ -61,18 +62,14 @@ type RefineConfig struct {
 	// E10c). The paper reports this approach caused divergence; the
 	// engine's message budget detects it.
 	UseLocalPref bool
-	// Workers sets the worker-pool size for the whole refinement: the
-	// mutating refine iterations run speculatively — each worker
-	// propagates and refines open prefixes on a pooled model clone,
-	// recording its edits as replayable action records, and a sequential
-	// merger applies clean speculations (and re-runs conflicted ones on
-	// the canonical model) in worklist order — and the read-only
-	// verify-and-reopen sweep fans settled prefixes out across the same
-	// clone pool. Outcomes are defined purely by worklist order, so any
-	// worker count produces byte-identical results: model serialization,
-	// result counts, checkpoints, trace events and redacted spans
-	// (DESIGN.md §5 "Speculative refinement"). 0 or 1 keeps refinement
-	// sequential; a negative value selects one worker per CPU.
+	// Workers sizes the worker pool of the read-only verify-and-reopen
+	// sweep, which re-simulates settled prefixes on per-worker model
+	// clones. The mutating refine iterations always run sequentially
+	// (DESIGN.md §5 "Why refinement is sequential"). Sweep outcomes are
+	// applied in worklist order, so any worker count produces
+	// byte-identical results: model serialization, result counts,
+	// checkpoints, trace events and redacted spans. 0 or 1 keeps the
+	// sweep sequential; a negative value selects one worker per CPU.
 	Workers int
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...interface{})
@@ -89,16 +86,10 @@ type RefineConfig struct {
 
 	// forceDiverge, when non-nil, makes the next n simulation runs of
 	// each listed prefix report a synthetic divergence (test seam for the
-	// quarantine path; counts are decremented per run). Speculative
-	// workers bypass the seam — it is consumed only on the canonical
-	// pass, in worklist order, so it stays deterministic at any worker
-	// count.
+	// quarantine path; counts are decremented per run). While it is set
+	// the verify sweep takes its sequential path, so the seam is consumed
+	// in worklist order at any worker count.
 	forceDiverge map[bgp.PrefixID]int
-
-	// disableSpeculation keeps the mutating iterations sequential even
-	// with Workers > 1 (test seam: lets fault tests target the parallel
-	// verify sweep in isolation). The verify sweep still parallelizes.
-	disableSpeculation bool
 }
 
 // RefineActionCounts tallies refinement actions by type (§4.6 / Figure
@@ -281,15 +272,11 @@ type requirement struct {
 }
 
 type prefixWork struct {
-	id   bgp.PrefixID
-	reqs []requirement
-	// reqASes is the deduplicated, sorted set of requirement ASes — the
-	// part of a speculation's read-set the heuristic inspects even when
-	// propagation never touches it.
-	reqASes []bgp.ASN
-	done    bool // no further processing (satisfied, stuck, or diverged)
-	ok      bool // fully RIB-Out matched
-	gaveUp  bool // propagation diverged even after the escalated retry
+	id     bgp.PrefixID
+	reqs   []requirement
+	done   bool // no further processing (satisfied, stuck, or diverged)
+	ok     bool // fully RIB-Out matched
+	gaveUp bool // propagation diverged even after the escalated retry
 
 	quarantined bool                 // diverged once; parked awaiting the retry phase
 	retried     bool                 // the one escalated retry has been spent
@@ -345,16 +332,6 @@ type refineRun struct {
 	// iteration and verify-sweep child spans hang off it. Not part of the
 	// checkpointable state.
 	span *obs.Span
-
-	// Speculative-refinement state (workers > 1 only; none of it is
-	// checkpointed — clones and the action log are rebuilt on resume):
-	// log is the canonical model's mutation history since the run (or
-	// resume) started, recording kept on so pooled clones can be synced
-	// by replay; pool holds the worker clones shared by the speculative
-	// iterations and the parallel verify sweep.
-	recording bool
-	log       []refineAction
-	pool      []*specClone
 }
 
 func newRefineRun(m *Model, train *dataset.Dataset, cfg RefineConfig) *refineRun {
@@ -365,9 +342,7 @@ func newRefineRun(m *Model, train *dataset.Dataset, cfg RefineConfig) *refineRun
 	if maxIter == 0 {
 		maxIter = 4*maxLen + 8
 	}
-	rr := &refineRun{m: m, cfg: cfg, res: res, works: works, maxIter: maxIter, observing: cfg.Observer != nil}
-	rr.recording = rr.workerCount() > 1
-	return rr
+	return &refineRun{m: m, cfg: cfg, res: res, works: works, maxIter: maxIter, observing: cfg.Observer != nil}
 }
 
 func (rr *refineRun) name(w *prefixWork) string { return rr.m.Universe.Name(w.id) }
@@ -454,6 +429,7 @@ func (rr *refineRun) quarantine(w *prefixWork, derr *sim.DivergenceError) {
 	w.quarantined = false
 	w.gaveUp = true
 	rr.res.DivergedPrefixes++
+	mDivergedPx.Inc()
 	if rr.cfg.Logf != nil {
 		rr.cfg.Logf("refine: prefix %s diverged again under escalated budget %d; giving up",
 			rr.name(w), derr.Budget)
@@ -491,8 +467,8 @@ func (rr *refineRun) retryQuarantined() int {
 // verifySweep re-simulates every settled prefix and re-opens the ones
 // later topology growth broke, returning how many it re-opened. The
 // sweep only reads the model, so with cfg.Workers it fans the prefixes
-// out across per-worker model clones (the forceDiverge test seam forces
-// the sequential path: it decrements shared per-prefix counters).
+// out across fresh per-worker model clones (the forceDiverge test seam
+// forces the sequential path: it decrements shared per-prefix counters).
 // Outcomes are applied in worklist order either way, so the sweep is
 // deterministic for any worker count. Worker spans attach under span
 // (the caller's verify span; nil is fine).
@@ -503,11 +479,15 @@ func (rr *refineRun) verifySweep(span *obs.Span) (int, error) {
 			towork = append(towork, w)
 		}
 	}
-	workers := pool.Workers(rr.workerCount(), len(towork))
+	workers := rr.cfg.Workers
+	if workers == 0 {
+		workers = 1 // 0 keeps the sweep sequential; negative is one per CPU
+	}
+	workers = pool.Workers(workers, len(towork))
 	span.Set(obs.A("prefixes", len(towork)), obs.VolatileAttr("workers", workers))
 	reopened := 0
 	if workers > 1 && rr.cfg.forceDiverge == nil {
-		outcomes, err := rr.verifyParallel(span, towork, rr.clonePool(workers))
+		outcomes, err := rr.verifyParallel(span, towork, workers)
 		if err != nil {
 			return 0, err
 		}
@@ -621,46 +601,30 @@ func (rr *refineRun) run(ctx context.Context) (*RefineResult, error) {
 			reservations := 0
 			changedAny := false
 			pending := 0
-			conflicts := 0
-			usedWorkers := 1
-			var open []*prefixWork
 			for _, w := range rr.works {
-				if !w.done {
-					open = append(open, w)
+				if w.done {
+					continue
 				}
-			}
-			if rr.recording && !cfg.disableSpeculation && len(open) > 1 {
-				usedWorkers = pool.Workers(rr.workerCount(), len(open))
-				var serr error
-				changedAny, pending, reservations, conflicts, serr = rr.iterateSpeculative(open, iterSpan)
-				if serr != nil {
-					return nil, serr
-				}
-			} else {
-				for _, w := range open {
-					if err := rr.runPrefix(w); err != nil {
-						var derr *sim.DivergenceError
-						if errors.As(err, &derr) {
-							rr.quarantine(w, derr)
-							continue
-						}
-						return nil, err
-					}
-					if rr.observing {
-						w.ribOut, w.potential, w.ribIn = m.matchCounts(w)
-					}
-					al := &actionLog{m: m, res: res, record: rr.recording}
-					changed, satisfied, resv := m.refinePrefix(w, cfg, al)
-					rr.log = append(rr.log, al.recs...)
-					reservations += resv
-					if changed {
-						changedAny = true
-						pending++
+				if err := rr.runPrefix(w); err != nil {
+					var derr *sim.DivergenceError
+					if errors.As(err, &derr) {
+						rr.quarantine(w, derr)
 						continue
 					}
-					w.done = true
-					w.ok = satisfied
+					return nil, err
 				}
+				if rr.observing {
+					w.ribOut, w.potential, w.ribIn = m.matchCounts(w)
+				}
+				changed, satisfied, resv := m.refinePrefix(w, cfg, res)
+				reservations += resv
+				if changed {
+					changedAny = true
+					pending++
+					continue
+				}
+				w.done = true
+				w.ok = satisfied
 			}
 			if cfg.Logf != nil {
 				cfg.Logf("refine: iteration %d: %d prefixes changed, %d quasi-routers, %d filters",
@@ -676,12 +640,7 @@ func (rr *refineRun) run(ctx context.Context) (*RefineResult, error) {
 				obs.A("med_rules", actions.MEDRules),
 				obs.A("local_pref_rules", actions.LocalPrefRules),
 				obs.A("duplications", actions.Duplications),
-				obs.A("quasi_routers", m.Net.NumRouters()),
-				// Worker count is configuration, conflict count follows it
-				// (sequential iterations have no speculations to conflict),
-				// so both stay out of the redacted trace.
-				obs.VolatileAttr("workers", usedWorkers),
-				obs.VolatileAttr("conflicts", conflicts))
+				obs.A("quasi_routers", m.Net.NumRouters()))
 			iterSpan.End()
 			if rr.observing {
 				rr.cum.add(actions)
@@ -708,6 +667,7 @@ func (rr *refineRun) run(ctx context.Context) (*RefineResult, error) {
 		// Verification sweep: re-open settled prefixes that later
 		// topology growth invalidated.
 		res.VerifyRounds++
+		mVerifies.Inc()
 		vspan := span.StartChild("verify", obs.A("round", res.VerifyRounds))
 		reopened, err := rr.verifySweep(vspan)
 		if err != nil {
@@ -736,16 +696,7 @@ func (rr *refineRun) run(ctx context.Context) (*RefineResult, error) {
 		return nil, err
 	}
 
-	// Publish the run's work to the obs registry in one batch
-	// (iterations were already counted live above).
 	mRefines.Inc()
-	mFiltersAdd.Add(int64(res.FiltersAdded))
-	mFiltersDel.Add(int64(res.FiltersRemoved))
-	mMEDRules.Add(int64(res.MEDRules))
-	mLPRules.Add(int64(res.LocalPrefRules))
-	mQRsAdded.Add(int64(res.QuasiRoutersAdded))
-	mVerifies.Add(int64(res.VerifyRounds))
-	mDivergedPx.Add(int64(res.DivergedPrefixes))
 	mIterPerRun.ObserveInt(res.Iterations)
 	return res, nil
 }
@@ -761,6 +712,7 @@ func (rr *refineRun) finish() error {
 			w.quarantined = false
 			w.gaveUp = true
 			res.DivergedPrefixes++
+			mDivergedPx.Inc()
 		}
 		if w.done && w.ok {
 			continue
@@ -776,6 +728,7 @@ func (rr *refineRun) finish() error {
 				w.div = derr
 				w.gaveUp = true
 				res.DivergedPrefixes++
+				mDivergedPx.Inc()
 				res.Converged = false
 				res.UnsatisfiedRequirements += len(w.reqs)
 				continue
@@ -910,10 +863,6 @@ func (m *Model) buildWork(train *dataset.Dataset, res *RefineResult) ([]*prefixW
 			}
 			return ri.key < rj.key
 		})
-		for as := range seen {
-			w.reqASes = append(w.reqASes, as)
-		}
-		sort.Slice(w.reqASes, func(i, j int) bool { return w.reqASes[i] < w.reqASes[j] })
 		works = append(works, w)
 	}
 	return works, maxLen
@@ -951,10 +900,9 @@ func (m *Model) countUnsatisfied(w *prefixWork) int {
 // against the network's converged state. It returns whether the model was
 // changed, whether every requirement was already RIB-Out matched, and how
 // many quasi-router reservations pass 1 made (trace bookkeeping). Every
-// model mutation goes through al (al.m == m), which bumps the result
-// counters and — for speculative refinement — records replayable action
-// records and undo state.
-func (m *Model) refinePrefix(w *prefixWork, cfg RefineConfig, al *actionLog) (changed, satisfied bool, reservations int) {
+// edit is counted in res and on its live refine_* counter where it is
+// made.
+func (m *Model) refinePrefix(w *prefixWork, cfg RefineConfig, res *RefineResult) (changed, satisfied bool, reservations int) {
 	prefix := w.id
 	type reqKey struct {
 		as  bgp.ASN
@@ -1016,7 +964,7 @@ func (m *Model) refinePrefix(w *prefixWork, cfg RefineConfig, al *actionLog) (ch
 			// RIB-In match at an unreserved quasi-router: adjust its
 			// policies so the wanted route wins (§4.6).
 			im := free[0]
-			m.steerSelection(im.q, im.from, rq, prefix, cfg, al)
+			steerSelection(im.q, im.q, im.from, rq, prefix, cfg, res)
 			resvByQR[im.q.ID] = rq.key
 			resvReq[reqKey{rq.as, rq.key}] = true
 			changed = true
@@ -1028,14 +976,15 @@ func (m *Model) refinePrefix(w *prefixWork, cfg RefineConfig, al *actionLog) (ch
 				continue
 			}
 			src := all[0]
-			nq, err := al.duplicateQR(src.q)
+			nq, err := m.DuplicateQR(src.q)
 			if err != nil {
 				continue
 			}
+			res.QuasiRoutersAdded++
+			mQRsAdded.Inc()
 			// The copy's RIB-In materializes next run; use the source's
 			// RIB-In as the proxy for policy synthesis.
-			from := nq.PeerTo(src.from.Remote.ID)
-			m.steerSelectionProxy(nq, src.q, from, rq, prefix, cfg, al)
+			steerSelection(nq, src.q, nq.PeerTo(src.from.Remote.ID), rq, prefix, cfg, res)
 			resvByQR[nq.ID] = rq.key
 			resvReq[reqKey{rq.as, rq.key}] = true
 			changed = true
@@ -1044,7 +993,7 @@ func (m *Model) refinePrefix(w *prefixWork, cfg RefineConfig, al *actionLog) (ch
 			// No RIB-In anywhere: either the upstream AS is not ready yet
 			// (fixed in a later iteration) or one of our own filters
 			// blocks the observed path (Figure 7 — delete it).
-			if m.unblockPath(rq, prefix, cfg, al, resvByQR) {
+			if m.unblockPath(rq, prefix, cfg, res, resvByQR) {
 				changed = true
 			}
 		}
@@ -1052,18 +1001,32 @@ func (m *Model) refinePrefix(w *prefixWork, cfg RefineConfig, al *actionLog) (ch
 	return changed, satisfied, reservations
 }
 
+// clearImports drops q's import actions for prefix on every session.
+func clearImports(q *sim.Router, prefix bgp.PrefixID) {
+	for _, p := range q.Peers() {
+		p.ClearImport(prefix)
+	}
+}
+
 // steerSelection installs policies at quasi-router q so that the route
 // delivered by `from` (carrying rq.suffix) becomes q's best: export
 // filters at the announcing neighbors of strictly shorter contenders,
 // plus a MED preference for the desired session (§4.6). With UseLocalPref
-// the mechanism is a local-pref raise instead.
-func (m *Model) steerSelection(q *sim.Router, from *sim.Peer, rq requirement, prefix bgp.PrefixID, cfg RefineConfig, al *actionLog) {
-	al.clearImports(q, prefix)
+// the mechanism is a local-pref raise instead. The contenders are read
+// from ribSrc's RIB-In: q's own, or, for a freshly duplicated q whose
+// RIB-In is still empty, that of the source it was copied from (from is
+// then nil if the copy has no session toward the announcing router).
+func steerSelection(q, ribSrc *sim.Router, from *sim.Peer, rq requirement, prefix bgp.PrefixID, cfg RefineConfig, res *RefineResult) {
+	clearImports(q, prefix)
 	if cfg.UseLocalPref {
-		al.setImportLocalPref(from, prefix, 200)
+		if from != nil {
+			from.SetImportLocalPref(prefix, 200)
+			res.LocalPrefRules++
+			mLPRules.Inc()
+		}
 		return
 	}
-	routes, fromPeers := q.RIBIn()
+	routes, fromPeers := ribSrc.RIBIn()
 	for i, rt := range routes {
 		if len(rt.Path) >= len(rq.suffix) {
 			continue
@@ -1071,37 +1034,15 @@ func (m *Model) steerSelection(q *sim.Router, from *sim.Peer, rq requirement, pr
 		// Filter at the announcing neighbor: deny its export toward q.
 		ann := fromPeers[i].Remote.PeerTo(q.ID)
 		if ann != nil && !ann.ExportDenied(prefix) {
-			al.denyExport(ann, prefix)
-		}
-	}
-	if !cfg.DisableMED {
-		al.setImportMED(from, prefix, 0)
-	}
-}
-
-// steerSelectionProxy is steerSelection for a freshly duplicated
-// quasi-router nq whose RIB-In is still empty: the source's RIB-In stands
-// in for the contenders nq will receive after the next run.
-func (m *Model) steerSelectionProxy(nq, src *sim.Router, from *sim.Peer, rq requirement, prefix bgp.PrefixID, cfg RefineConfig, al *actionLog) {
-	al.clearImports(nq, prefix)
-	if cfg.UseLocalPref {
-		if from != nil {
-			al.setImportLocalPref(from, prefix, 200)
-		}
-		return
-	}
-	routes, fromPeers := src.RIBIn()
-	for i, rt := range routes {
-		if len(rt.Path) >= len(rq.suffix) {
-			continue
-		}
-		ann := fromPeers[i].Remote.PeerTo(nq.ID)
-		if ann != nil && !ann.ExportDenied(prefix) {
-			al.denyExport(ann, prefix)
+			ann.DenyExport(prefix)
+			res.FiltersAdded++
+			mFiltersAdd.Inc()
 		}
 	}
 	if !cfg.DisableMED && from != nil {
-		al.setImportMED(from, prefix, 0)
+		from.SetImportMED(prefix, 0)
+		res.MEDRules++
+		mMEDRules.Inc()
 	}
 }
 
@@ -1112,7 +1053,7 @@ func (m *Model) steerSelectionProxy(nq, src *sim.Router, from *sim.Peer, rq requ
 // route (admitted path not shorter than the receiver's desired path);
 // otherwise a quasi-router of the receiving AS is duplicated so an
 // unfiltered session exists next iteration.
-func (m *Model) unblockPath(rq requirement, prefix bgp.PrefixID, cfg RefineConfig, al *actionLog, resvByQR map[bgp.RouterID]bgp.PathKey) bool {
+func (m *Model) unblockPath(rq requirement, prefix bgp.PrefixID, cfg RefineConfig, res *RefineResult, resvByQR map[bgp.RouterID]bgp.PathKey) bool {
 	neighbor := rq.suffix[0]
 	nSuffix := rq.suffix[1:]
 	var nq *sim.Router
@@ -1135,7 +1076,9 @@ func (m *Model) unblockPath(rq requirement, prefix bgp.PrefixID, cfg RefineConfi
 		if key, taken := resvByQR[p.Remote.ID]; taken && len(rq.suffix) < key.Len() {
 			continue // unsafe: the admitted route would evict the reserved one
 		}
-		al.allowExport(p, prefix)
+		p.AllowExport(prefix)
+		res.FiltersRemoved++
+		mFiltersDel.Inc()
 		return true
 	}
 	if len(blocked) == 0 || cfg.DisableDuplication {
@@ -1143,10 +1086,12 @@ func (m *Model) unblockPath(rq requirement, prefix bgp.PrefixID, cfg RefineConfi
 	}
 	// Every filtered session points at a reserved quasi-router that the
 	// admitted route would evict: grow the AS instead.
-	nqr, err := al.duplicateQR(blocked[0].Remote)
+	nqr, err := m.DuplicateQR(blocked[0].Remote)
 	if err != nil {
 		return false
 	}
-	al.clearImports(nqr, prefix)
+	res.QuasiRoutersAdded++
+	mQRsAdded.Inc()
+	clearImports(nqr, prefix)
 	return true
 }

@@ -145,3 +145,65 @@ func TestRefineTraceContents(t *testing.T) {
 		}
 	}
 }
+
+// liveActions reads the refine_* edit counters as action counts.
+func liveActions() RefineActionCounts {
+	return RefineActionCounts{
+		FiltersAdded:   int(mFiltersAdd.Value()),
+		FiltersRemoved: int(mFiltersDel.Value()),
+		MEDRules:       int(mMEDRules.Value()),
+		LocalPrefRules: int(mLPRules.Value()),
+		Duplications:   int(mQRsAdded.Value()),
+	}
+}
+
+// TestRefineCountersAreLive: every edit bumps its refine_* counter as it
+// is made, so at each "iteration" event the counter deltas equal the
+// event's CumulativeActions, and when Refine returns they (plus the
+// verify-round and diverged-prefix counters) equal the RefineResult.
+func TestRefineCountersAreLive(t *testing.T) {
+	var total RefineActionCounts
+	for seed := int64(0); seed < 6; seed++ {
+		ds := randomObservations(rand.New(rand.NewSource(seed)))
+		if ds.Len() == 0 {
+			continue
+		}
+		for _, cfg := range []RefineConfig{{}, {UseLocalPref: true}} {
+			m, err := NewInitial(topology.FromDataset(ds), dataset.NewUniverse(ds))
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := liveActions()
+			verifies, diverged := mVerifies.Value(), mDivergedPx.Value()
+			cfg.Observer = func(ev RefineEvent) {
+				if ev.Type != "iteration" {
+					return
+				}
+				want := ev.CumulativeActions
+				want.Reservations = 0
+				if got := liveActions().diff(before); got != want {
+					t.Errorf("seed %d local-pref %v iteration %d: counter deltas %+v, cumulative actions %+v",
+						seed, cfg.UseLocalPref, ev.Iteration, got, want)
+				}
+			}
+			res, err := m.Refine(ds, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := liveActions().diff(before)
+			if want := actionSnapshot(res); got != want {
+				t.Errorf("seed %d local-pref %v: counter deltas %+v, result %+v", seed, cfg.UseLocalPref, got, want)
+			}
+			if n := mVerifies.Value() - verifies; n != int64(res.VerifyRounds) {
+				t.Errorf("seed %d local-pref %v: %d verify rounds counted, result has %d", seed, cfg.UseLocalPref, n, res.VerifyRounds)
+			}
+			if n := mDivergedPx.Value() - diverged; n != int64(res.DivergedPrefixes) {
+				t.Errorf("seed %d local-pref %v: %d diverged prefixes counted, result has %d", seed, cfg.UseLocalPref, n, res.DivergedPrefixes)
+			}
+			total.add(got)
+		}
+	}
+	if total.FiltersAdded == 0 || total.MEDRules == 0 || total.LocalPrefRules == 0 || total.Duplications == 0 {
+		t.Fatalf("inputs exercised too few edit kinds: %+v", total)
+	}
+}

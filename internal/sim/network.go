@@ -146,8 +146,8 @@ type Network struct {
 	// every Run) and touched collects, in first-touch order, every router
 	// that participated in the current run — origins at seeding time plus
 	// every router that received a delivery. The generation stamp on each
-	// router makes marking O(1) without a per-run map clear. Speculative
-	// refinement reads the list as the run's read-set.
+	// router makes marking O(1) without a per-run map clear, and reset
+	// clears only the routers on the list.
 	gen     uint64
 	touched []*Router
 }
@@ -289,45 +289,6 @@ func (n *Network) Connect(a, b *Router) (*Peer, *Peer, error) {
 	b.adv = append(b.adv, nil)
 	n.sessions++
 	return pa, pb, nil
-}
-
-// RemoveRouter removes r and all of its sessions from the network. Only
-// the most recently added router can be removed, and every session of r
-// must be the newest session of its remote — the invariant Connect's
-// tail-appends establish for a router that was added and connected last
-// (quasi-router duplication). Removing in reverse creation order
-// therefore exactly undoes a sequence of duplications, which is what
-// speculative refinement needs to roll a clone back; any other shape is
-// rejected with an error before the network is modified.
-func (n *Network) RemoveRouter(r *Router) error {
-	if len(n.routers) == 0 || n.routers[len(n.routers)-1] != r {
-		return fmt.Errorf("sim: RemoveRouter: %s is not the most recently added router", r.ID)
-	}
-	for _, p := range r.peers {
-		rem := p.Remote
-		if last := len(rem.peers) - 1; last < 0 || rem.peers[last].Remote != r {
-			return fmt.Errorf("sim: RemoveRouter: session %s<->%s is not %s's newest session", r.ID, rem.ID, rem.ID)
-		}
-	}
-	for _, p := range r.peers {
-		rem := p.Remote
-		last := len(rem.peers) - 1
-		rem.peers = rem.peers[:last]
-		rem.ribIn = rem.ribIn[:last]
-		rem.adv = rem.adv[:last]
-		delete(rem.bySrc, r.ID)
-		n.sessions--
-	}
-	delete(n.byID, r.ID)
-	n.routers = n.routers[:len(n.routers)-1]
-	// Keep the touched list honest if r participated in the last run.
-	for i, t := range n.touched {
-		if t == r {
-			n.touched = append(n.touched[:i], n.touched[i+1:]...)
-			break
-		}
-	}
-	return nil
 }
 
 // Peers returns the router's session endpoints (its side).
@@ -557,14 +518,6 @@ func (n *Network) markTouched(r *Router) {
 		n.touched = append(n.touched, r)
 	}
 }
-
-// TouchedRouters returns every router that participated in the most
-// recent Run, in first-touch order: the seeded origins plus every router
-// that received at least one delivery (even a denied or withdrawn one).
-// Routers absent from the list held no state for the run's prefix and
-// sent no messages. The slice is the network's per-run scratch — valid
-// until the next Run — and must not be mutated.
-func (n *Network) TouchedRouters() []*Router { return n.touched }
 
 func (n *Network) enqueue(m message) {
 	// Compact the ring occasionally so memory stays bounded.

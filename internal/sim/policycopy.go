@@ -30,42 +30,6 @@ func (p *Peer) CopyPoliciesFrom(src *Peer) {
 	p.ExportHook = src.ExportHook
 }
 
-// ImportActionFor returns the per-prefix import action installed for the
-// prefix on this session direction (and whether one is installed) in the
-// same external form serialization uses. Together with
-// RestoreImportAction it lets speculative refinement capture and roll
-// back policy edits exactly.
-func (p *Peer) ImportActionFor(prefix bgp.PrefixID) (ImportActionView, bool) {
-	a, ok := p.importActs[prefix]
-	if !ok {
-		return ImportActionView{Prefix: prefix}, false
-	}
-	return ImportActionView{
-		Prefix: prefix,
-		Deny:   a.deny,
-		HasMED: a.hasMED, MED: a.med,
-		HasLP: a.hasLP, LocalPref: a.lp,
-	}, true
-}
-
-// RestoreImportAction reinstalls (present=true) or removes
-// (present=false) the per-prefix import action described by v, undoing a
-// sequence of Set/Clear calls captured via ImportActionFor.
-func (p *Peer) RestoreImportAction(v ImportActionView, present bool) {
-	if !present {
-		p.ClearImport(v.Prefix)
-		return
-	}
-	if p.importActs == nil {
-		p.importActs = make(map[bgp.PrefixID]importAction)
-	}
-	p.importActs[v.Prefix] = importAction{
-		deny:   v.Deny,
-		hasMED: v.HasMED, med: v.MED,
-		hasLP: v.HasLP, lp: v.LocalPref,
-	}
-}
-
 // ImportMED returns the import MED override installed for the prefix on
 // this session, if any.
 func (p *Peer) ImportMED(prefix bgp.PrefixID) (uint32, bool) {

@@ -71,12 +71,12 @@ func referencePropagate(n *Network, prefix bgp.PrefixID, origins []bgp.RouterID)
 					continue
 				}
 				cand := &refRoute{path: path, med: bgp.DefaultMED, peer: q.ID}
-				if act, ok := in.ImportActionFor(prefix); ok {
-					if act.Deny {
+				if act, ok := in.importActs[prefix]; ok {
+					if act.deny {
 						continue
 					}
-					if act.HasMED {
-						cand.med = act.MED
+					if act.hasMED {
+						cand.med = act.med
 					}
 				}
 				if next[i] == nil || refBetter(cand, next[i]) {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"asmodel/internal/bgp"
@@ -20,7 +19,7 @@ func TestTouchedRouters(t *testing.T) {
 	mustRun(t, net, 1, rs[0].ID)
 
 	got := map[bgp.RouterID]bool{}
-	for _, r := range net.TouchedRouters() {
+	for _, r := range net.touched {
 		got[r.ID] = true
 	}
 	for _, r := range rs {
@@ -39,7 +38,7 @@ func TestTouchedRouters(t *testing.T) {
 	// guaranteed, the old endpoints must be re-derived, not carried over.
 	mustRun(t, net, 2, rs[2].ID)
 	got = map[bgp.RouterID]bool{}
-	for _, r := range net.TouchedRouters() {
+	for _, r := range net.touched {
 		got[r.ID] = true
 	}
 	if !got[rs[2].ID] {
@@ -47,120 +46,5 @@ func TestTouchedRouters(t *testing.T) {
 	}
 	if got[lone.ID] {
 		t.Error("stale touched entry survived the reset")
-	}
-}
-
-// TestRemoveRouterLIFO: RemoveRouter undoes the newest AddRouter+Connect
-// exactly — sessions disappear from every remote, counts rewind, and the
-// remaining network still runs.
-func TestRemoveRouterLIFO(t *testing.T) {
-	net, rs := buildLine(t, 3)
-	nr, err := net.AddRouter(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []*Router{rs[0], rs[2]} {
-		if _, _, err := net.Connect(nr, r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wantRouters, wantSessions := net.NumRouters()-1, net.NumSessions()-2
-
-	if err := net.RemoveRouter(nr); err != nil {
-		t.Fatalf("RemoveRouter: %v", err)
-	}
-	if net.NumRouters() != wantRouters || net.NumSessions() != wantSessions {
-		t.Fatalf("counts after removal: %d routers %d sessions, want %d/%d",
-			net.NumRouters(), net.NumSessions(), wantRouters, wantSessions)
-	}
-	if net.Router(nr.ID) != nil {
-		t.Fatal("removed router still resolvable by ID")
-	}
-	for _, r := range rs {
-		for _, p := range r.Peers() {
-			if p.Remote.ID == nr.ID {
-				t.Fatalf("router %s still has a session toward the removed router", r.ID)
-			}
-		}
-	}
-	mustRun(t, net, 1, rs[0].ID)
-}
-
-// TestRemoveRouterValidation: removing anything but the newest router —
-// or a newest router whose remotes have since gained newer sessions —
-// fails without mutating the network.
-func TestRemoveRouterValidation(t *testing.T) {
-	net, rs := buildLine(t, 3)
-	routers, sessions := net.NumRouters(), net.NumSessions()
-	err := net.RemoveRouter(rs[0])
-	if err == nil || !strings.Contains(err.Error(), "not the most recently added") {
-		t.Fatalf("removing a non-tail router: err = %v", err)
-	}
-	if net.NumRouters() != routers || net.NumSessions() != sessions {
-		t.Fatal("failed removal mutated the network")
-	}
-
-	// Tail router, but a remote gained a newer session since: refused.
-	a, err := net.AddRouter(4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := net.Connect(a, rs[0]); err != nil {
-		t.Fatal(err)
-	}
-	b, err := net.AddRouter(5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := net.Connect(b, rs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.RemoveRouter(a); err == nil {
-		t.Fatal("removed a router whose remote had a newer session")
-	}
-	// LIFO order works: b then a.
-	if err := net.RemoveRouter(b); err != nil {
-		t.Fatalf("removing newest: %v", err)
-	}
-	if err := net.RemoveRouter(a); err != nil {
-		t.Fatalf("removing next-newest after LIFO pop: %v", err)
-	}
-}
-
-// TestImportActionRoundTrip: ImportActionFor captures the exact installed
-// action and RestoreImportAction reinstalls (or clears) it, undoing any
-// interleaved edits.
-func TestImportActionRoundTrip(t *testing.T) {
-	net := NewNetwork(bgp.QuasiRouterConfig)
-	a, _ := net.AddRouter(1, 0)
-	b, _ := net.AddRouter(2, 0)
-	p, _, _ := net.Connect(a, b)
-	const prefix = bgp.PrefixID(7)
-
-	if _, ok := p.ImportActionFor(prefix); ok {
-		t.Fatal("fresh session reports an installed import action")
-	}
-
-	p.SetImportMED(prefix, 11)
-	p.SetImportLocalPref(prefix, 300)
-	v, ok := p.ImportActionFor(prefix)
-	if !ok || !v.HasMED || v.MED != 11 || !v.HasLP || v.LocalPref != 300 {
-		t.Fatalf("captured view %+v, ok=%v", v, ok)
-	}
-
-	p.ClearImport(prefix)
-	p.DenyImport(prefix)
-	p.RestoreImportAction(v, true)
-	got, ok := p.ImportActionFor(prefix)
-	if !ok || got != v {
-		t.Fatalf("restored view %+v, want %+v", got, v)
-	}
-
-	p.RestoreImportAction(v, false) // present=false clears
-	if _, ok := p.ImportActionFor(prefix); ok {
-		t.Fatal("restore with present=false left an action installed")
-	}
-	if p.ImportActionCount() != 0 {
-		t.Fatalf("%d import actions after clear-restore", p.ImportActionCount())
 	}
 }

@@ -2,9 +2,9 @@
 // tails a BGP update source (a growing MRT file or a directory of MRT
 // files), cuts deterministic record-count batches, delta-evaluates only
 // the prefixes whose observations changed, patches the model through
-// the speculative refinement machinery, and commits cursor + checkpoint
-// atomically after every batch so a crash at any point resumes
-// byte-identically to an uninterrupted run (DESIGN.md §9).
+// incremental refinement (model.RefineIncremental), and commits cursor
+// + checkpoint atomically after every batch so a crash at any point
+// resumes byte-identically to an uninterrupted run (DESIGN.md §9).
 package stream
 
 import (

@@ -62,7 +62,7 @@ type Config struct {
 	// MinAge applies the paper's stable-route filter to batch snapshots
 	// (seconds; 0 disables). Also cursor-validated.
 	MinAge int64
-	// Workers sets the speculative-refinement pool for each batch
+	// Workers sizes each batch refinement's verify-sweep pool
 	// (1 = sequential; byte-identical results at any count).
 	Workers int
 	// MaxIterations bounds each batch's refinement (0 = automatic).
