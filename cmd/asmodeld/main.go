@@ -7,7 +7,6 @@
 //	asmodeld -checkpoint ckpt.txt -addr :8480            # serve
 //	asmodeld -model model.txt -addr :8480 -watch 5s      # auto-reload
 //	asmodeld -checkpoint stream.state -watch 2s          # follow asmodel stream
-//	asmodeld -loadgen -gen-seed 1 -out BENCH_serve.json  # benchmark
 //
 // -checkpoint also accepts an `asmodel stream` state file
 // (asmodel-stream-cursor-v1): the embedded checkpoint is served, and
@@ -29,13 +28,8 @@ import (
 	"syscall"
 	"time"
 
-	"asmodel/internal/dataset"
-	"asmodel/internal/gen"
-	"asmodel/internal/model"
 	"asmodel/internal/obs"
-	"asmodel/internal/pool"
 	"asmodel/internal/serve"
-	"asmodel/internal/topology"
 )
 
 const (
@@ -106,14 +100,6 @@ func realMain(ctx context.Context, args []string) error {
 		k            = fs.Int("k", serve.DefaultAlternates, "default top-k alternates per prediction (?k= overrides)")
 		debugAddr    = fs.String("debug-addr", "", "separate obs debug endpoint (the main listener already serves /metrics)")
 		reportPath   = fs.String("report", "", "write a schema-versioned JSON run report on exit")
-
-		loadgen  = fs.Bool("loadgen", false, "run the load generator against an in-process daemon instead of serving")
-		requests = fs.Int("requests", 2000, "loadgen: total request count")
-		clients  = fs.Int("clients", 8, "loadgen: concurrent clients")
-		seed     = fs.Int64("seed", 1, "loadgen: query-stream seed")
-		reloads  = fs.Int("reloads", 4, "loadgen: hot-swaps fired during the run (needs -checkpoint/-model/-gen-seed)")
-		genSeed  = fs.Int64("gen-seed", 0, "loadgen: serve a synthetic-Internet initial model with this seed instead of a file")
-		outPath  = fs.String("out", "BENCH_serve.json", "loadgen: report output file")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -124,15 +110,8 @@ func realMain(ctx context.Context, args []string) error {
 	if fs.NArg() > 0 {
 		return usageError{err: fmt.Errorf("unexpected arguments: %v", fs.Args())}
 	}
-	if !*loadgen && *checkpoint == "" && *modelPath == "" {
+	if *checkpoint == "" && *modelPath == "" {
 		return usageError{err: errors.New("one of -checkpoint or -model is required")}
-	}
-	if *loadgen && *checkpoint == "" && *modelPath == "" && *genSeed == 0 {
-		*genSeed = 1
-	}
-	if *loadgen && *addr == ":8480" {
-		// Benchmarks shouldn't squat the default serving port.
-		*addr = "127.0.0.1:0"
 	}
 	if *debugAddr != "" && debugServer == nil {
 		srv, err := obs.Serve(*debugAddr, obs.Default())
@@ -165,15 +144,7 @@ func realMain(ctx context.Context, args []string) error {
 	}
 	srv := serve.New(cfg)
 
-	var runErr error
-	if *loadgen {
-		runErr = runLoadGen(ctx, srv, loadGenParams{
-			genSeed: *genSeed, requests: *requests, clients: *clients,
-			seed: *seed, reloads: *reloads, k: *k, out: *outPath,
-		})
-	} else {
-		runErr = srv.Run(ctx)
-	}
+	runErr := srv.Run(ctx)
 
 	if report != nil {
 		if snap := srv.Snapshot(); snap != nil {
@@ -196,66 +167,4 @@ func realMain(ctx context.Context, args []string) error {
 		}
 	}
 	return runErr
-}
-
-type loadGenParams struct {
-	genSeed  int64
-	requests int
-	clients  int
-	seed     int64
-	reloads  int
-	k        int
-	out      string
-}
-
-// runLoadGen benchmarks the serving stack: an in-process daemon on a
-// loopback port under a seeded query fleet, writing the
-// asmodel-bench-serve-v1 report gated by make bench-check.
-func runLoadGen(ctx context.Context, srv *serve.Server, p loadGenParams) error {
-	var m *model.Model
-	if p.genSeed != 0 {
-		fmt.Fprintf(os.Stderr, "asmodeld: generating synthetic Internet (seed=%d)...\n", p.genSeed)
-		cfg := gen.DefaultConfig()
-		cfg.Seed = p.genSeed
-		in, err := gen.Generate(cfg)
-		if err != nil {
-			return err
-		}
-		ds, err := in.RunAllParallel(ctx, pool.DefaultWorkers())
-		if err != nil {
-			return err
-		}
-		ds.Normalize()
-		m, err = model.NewInitial(topology.FromDataset(ds), dataset.NewUniverse(ds))
-		if err != nil {
-			return err
-		}
-	}
-	start := time.Now()
-	rep, err := serve.RunLoadGen(ctx, srv, m, serve.LoadGenConfig{
-		Requests: p.requests, Clients: p.clients, Seed: p.seed, Reloads: reloadsFor(srv, p), K: p.k,
-	})
-	if err != nil {
-		return err
-	}
-	if err := serve.WriteBenchReport(p.out, rep); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr,
-		"asmodeld: loadgen done in %v: %d ok, %d shed, %d errors, p50=%.2fms p99=%.2fms (%.0f req/s), report %s\n",
-		time.Since(start).Round(time.Millisecond), rep.OK, rep.Shed, rep.Errors,
-		float64(rep.LatencyP50NS)/1e6, float64(rep.LatencyP99NS)/1e6, rep.RequestsPerS, p.out)
-	if rep.Errors > 0 {
-		return fmt.Errorf("loadgen saw %d errored requests", rep.Errors)
-	}
-	return nil
-}
-
-// reloadsFor disables mid-run reloads when serving an in-memory model:
-// there is no source file to re-POST.
-func reloadsFor(srv *serve.Server, p loadGenParams) int {
-	if p.genSeed != 0 {
-		return 0
-	}
-	return p.reloads
 }

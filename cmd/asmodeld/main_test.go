@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"asmodel/internal/bgp"
 	"asmodel/internal/dataset"
 	"asmodel/internal/model"
-	"asmodel/internal/serve"
 	"asmodel/internal/topology"
 )
 
@@ -66,80 +70,144 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// TestServeSmoke boots the daemon on a loopback port, lets it serve,
-// then sends the drain signal (context cancel, as SIGTERM does) and
-// expects a clean exit with a run report.
-func TestServeSmoke(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "ckpt.txt")
-	writeTinyCheckpoint(t, ckpt)
-	report := filepath.Join(dir, "report.json")
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan int, 1)
-	go func() {
-		done <- run(ctx, []string{"-checkpoint", ckpt, "-addr", "127.0.0.1:0", "-report", report})
-	}()
-	time.Sleep(400 * time.Millisecond)
-	cancel()
-	select {
-	case got := <-done:
-		if got != exitOK {
-			t.Fatalf("drained daemon exited %d, want %d", got, exitOK)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("daemon did not exit after cancel")
-	}
-
-	data, err := os.ReadFile(report)
+// freeAddr returns a loopback address with a port that was free a
+// moment ago, so a test can pass the daemon an -addr it can then dial.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatalf("run report missing: %v", err)
-	}
-	var rep map[string]any
-	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	sections, ok := rep["sections"].(map[string]any)
-	if !ok || sections["serve"] == nil {
-		t.Fatalf("run report has no serve section: %s", data)
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// waitReady polls /readyz until the daemon at addr answers 200.
+func waitReady(t *testing.T, base string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if resp, err := http.Get(base + "/readyz"); err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return
+			}
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	t.Fatal("daemon never became ready")
+}
+
+// loadWithReloads fires clients × perClient predictions over real HTTP
+// while one more client POSTs /-/reload reloads times, re-reading the
+// checkpoint file mid-load. Every prediction and every reload must be
+// answered 200, and each reload must install a new snapshot.
+func loadWithReloads(t *testing.T, base string, clients, perClient, reloads int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	errc := make(chan error, clients+1)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				url := fmt.Sprintf("%s/v1/predict?vantage=%d&prefix=P%d&k=2", base, 1+(c+i)%5, 1+i%3)
+				resp, err := http.Get(url)
+				if err != nil {
+					errc <- err
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					errc <- fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < reloads; i++ {
+			resp, err := http.Post(base+"/-/reload", "", nil)
+			if err != nil {
+				errc <- err
+				return
+			}
+			var body struct{ Seq int64 }
+			err = json.NewDecoder(resp.Body).Decode(&body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				errc <- fmt.Errorf("reload %d: status %d, %v", i, resp.StatusCode, err)
+				return
+			}
+			if want := int64(i) + 2; body.Seq != want { // seq 1 is the boot load
+				errc <- fmt.Errorf("reload %d installed seq %d, want %d", i, body.Seq, want)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
 	}
 }
 
-// TestLoadGenSmoke runs the full loadgen path — real daemon, real HTTP,
-// mid-run reloads from the checkpoint file — and checks the bench
-// report it writes.
-func TestLoadGenSmoke(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "ckpt.txt")
-	writeTinyCheckpoint(t, ckpt)
-	out := filepath.Join(dir, "bench.json")
+// TestServeSmoke boots the daemon on a loopback port, lets it serve,
+// then sends the drain signal (context cancel, as SIGTERM does) and
+// expects a clean exit with a run report. With load, it first answers
+// concurrent predictions over HTTP while the checkpoint file is
+// reloaded mid-load.
+func TestServeSmoke(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		load bool
+	}{
+		{"idle", false},
+		{"reloads under load", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ckpt := filepath.Join(dir, "ckpt.txt")
+			writeTinyCheckpoint(t, ckpt)
+			report := filepath.Join(dir, "report.json")
+			addr := freeAddr(t)
 
-	got := run(context.Background(), []string{
-		"-loadgen", "-checkpoint", ckpt,
-		"-requests", "120", "-clients", "6", "-reloads", "3", "-seed", "2",
-		"-out", out,
-	})
-	if got != exitOK {
-		t.Fatalf("loadgen exited %d, want %d", got, exitOK)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep serve.BenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != "asmodel-bench-serve-v1" {
-		t.Fatalf("schema = %q", rep.Schema)
-	}
-	if rep.OK+rep.Shed+rep.Errors != 120 {
-		t.Fatalf("requests unaccounted for: ok=%d shed=%d errors=%d", rep.OK, rep.Shed, rep.Errors)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("loadgen saw %d errors", rep.Errors)
-	}
-	if rep.SwapsApplied < 1 {
-		t.Fatalf("no swaps applied during loadgen: %+v", rep)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan int, 1)
+			go func() {
+				done <- run(ctx, []string{"-checkpoint", ckpt, "-addr", addr, "-report", report})
+			}()
+			base := "http://" + addr
+			waitReady(t, base)
+			if tc.load {
+				loadWithReloads(t, base, 6, 20, 3)
+			}
+			cancel()
+			select {
+			case got := <-done:
+				if got != exitOK {
+					t.Fatalf("drained daemon exited %d, want %d", got, exitOK)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("daemon did not exit after cancel")
+			}
+
+			data, err := os.ReadFile(report)
+			if err != nil {
+				t.Fatalf("run report missing: %v", err)
+			}
+			var rep map[string]any
+			if err := json.Unmarshal(data, &rep); err != nil {
+				t.Fatal(err)
+			}
+			sections, ok := rep["sections"].(map[string]any)
+			if !ok || sections["serve"] == nil {
+				t.Fatalf("run report has no serve section: %s", data)
+			}
+		})
 	}
 }

@@ -1,22 +1,16 @@
-// Command obsreport works with the JSON artifacts the pipeline emits:
-// run reports (asmodel/topogen/mrt2paths/experiments/parbench -report)
-// and the checked-in BENCH_*.json benchmark reports.
+// Command obsreport reads the JSON run reports the CLIs write with
+// -report (asmodel, asmodeld, topogen, mrt2paths, experiments).
 //
 //	obsreport show report.json              # human-readable stage breakdown
 //	obsreport diff old.json new.json        # metric deltas, stage-time ratios
-//	obsreport check BENCH_parallel.json baselines/BENCH_parallel.baseline.json
 //
-// check exits non-zero when any baseline rule is violated — it is the
-// perf-regression gate behind `make bench-check`. Rules tolerate the
-// slow single-core CI runners via generous one-sided ratios; the point
-// is catching order-of-magnitude regressions and broken determinism
-// flags, not 10% noise.
+// Benchmark results are cmd/bench's: it writes them with -out and
+// compares two sets of them against the bounds in BENCHMARK.json.
 package main
 
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -41,11 +35,6 @@ func main() {
 			usage()
 		}
 		err = diff(os.Args[2], os.Args[3])
-	case "check":
-		if len(os.Args) != 4 {
-			usage()
-		}
-		err = check(os.Args[2], os.Args[3])
 	default:
 		usage()
 	}
@@ -58,8 +47,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   obsreport show <report.json>
-  obsreport diff <old.json> <new.json>
-  obsreport check <report.json> <baseline.json>`)
+  obsreport diff <old.json> <new.json>`)
 	os.Exit(2)
 }
 
@@ -76,7 +64,7 @@ func readJSON(path string) (map[string]interface{}, error) {
 }
 
 // flatten turns nested objects and arrays into dotted leaf keys
-// ("stages.0.seconds"), the shape both diff and check operate on.
+// ("stages.0.seconds"), the shape diff compares.
 func flatten(prefix string, v interface{}, out map[string]interface{}) {
 	switch t := v.(type) {
 	case map[string]interface{}:
@@ -129,8 +117,8 @@ func fmtVal(v interface{}) string {
 }
 
 // show renders a run report as a stage breakdown when the file carries
-// the run-report schema, and as a sorted key dump otherwise (BENCH
-// files, unknown schemas).
+// the run-report schema, and as a sorted key dump otherwise (cmd/bench
+// results, unknown schemas).
 func show(path string) error {
 	raw, err := readJSON(path)
 	if err != nil {
@@ -244,139 +232,4 @@ func diff(oldPath, newPath string) error {
 		fmt.Println("no differences")
 	}
 	return nil
-}
-
-// rule is one baseline constraint applied to every flattened key that
-// matches its pattern. Exactly the fields set are enforced:
-//
-//	equals     — deep equality with the baseline value
-//	value +    — one-sided perf gate: actual <= value × max_ratio
-//	max_ratio    (ratios are generous — 25–50× — so only
-//	             order-of-magnitude regressions trip on slow runners)
-//	min / max  — numeric bounds (inclusive)
-//
-// required (default true) fails the check when no key matches the
-// pattern at all — so a renamed field cannot silently skip its gate.
-type rule struct {
-	Equals   interface{} `json:"equals,omitempty"`
-	Value    *float64    `json:"value,omitempty"`
-	MaxRatio *float64    `json:"max_ratio,omitempty"`
-	Min      *float64    `json:"min,omitempty"`
-	Max      *float64    `json:"max,omitempty"`
-	Required *bool       `json:"required,omitempty"`
-}
-
-type baseline struct {
-	Schema string          `json:"schema,omitempty"`
-	Rules  map[string]rule `json:"rules"`
-}
-
-// matchPattern reports whether a dotted key matches a dotted pattern
-// where "*" matches exactly one segment (typically an array index).
-func matchPattern(pattern, key string) bool {
-	ps := strings.Split(pattern, ".")
-	ks := strings.Split(key, ".")
-	if len(ps) != len(ks) {
-		return false
-	}
-	for i := range ps {
-		if ps[i] != "*" && ps[i] != ks[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func check(reportPath, baselinePath string) error {
-	raw, err := readJSON(reportPath)
-	if err != nil {
-		return err
-	}
-	bb, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return err
-	}
-	var base baseline
-	if err := json.Unmarshal(bb, &base); err != nil {
-		return fmt.Errorf("%s: %w", baselinePath, err)
-	}
-	flat := flatMap(raw)
-	var violations []string
-	if base.Schema != "" {
-		if got, _ := raw["schema"].(string); got != base.Schema {
-			violations = append(violations,
-				fmt.Sprintf("schema: got %q, baseline wants %q", got, base.Schema))
-		}
-	}
-	patterns := make([]string, 0, len(base.Rules))
-	for p := range base.Rules {
-		patterns = append(patterns, p)
-	}
-	sort.Strings(patterns)
-	checked := 0
-	for _, pattern := range patterns {
-		r := base.Rules[pattern]
-		matched := 0
-		for _, key := range sortedKeys(flat) {
-			if !matchPattern(pattern, key) {
-				continue
-			}
-			matched++
-			checked++
-			violations = append(violations, checkRule(pattern, key, flat[key], r)...)
-		}
-		if matched == 0 && (r.Required == nil || *r.Required) {
-			violations = append(violations, fmt.Sprintf("%s: no key matches", pattern))
-		}
-	}
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintln(os.Stderr, "obsreport: FAIL", v)
-		}
-		return fmt.Errorf("%s: %d violation(s) against %s", reportPath, len(violations), baselinePath)
-	}
-	fmt.Printf("obsreport: %s ok (%d keys checked against %s)\n", reportPath, checked, baselinePath)
-	return nil
-}
-
-func checkRule(pattern, key string, v interface{}, r rule) []string {
-	var out []string
-	if r.Equals != nil {
-		if fmtVal(v) != fmtVal(r.Equals) {
-			out = append(out, fmt.Sprintf("%s: got %s, want %s", key, fmtVal(v), fmtVal(r.Equals)))
-		}
-	}
-	needNum := r.Value != nil || r.Min != nil || r.Max != nil
-	if !needNum {
-		return out
-	}
-	f, ok := v.(float64)
-	if !ok {
-		return append(out, fmt.Sprintf("%s: got non-numeric %s for numeric rule", key, fmtVal(v)))
-	}
-	if r.Value != nil {
-		ratio := 1.0
-		if r.MaxRatio != nil {
-			ratio = *r.MaxRatio
-		}
-		limit := *r.Value * ratio
-		if f > limit {
-			out = append(out, fmt.Sprintf("%s: %s exceeds %s (baseline %s × %g)",
-				key, fmtFloat(f), fmtFloat(limit), fmtFloat(*r.Value), ratio))
-		}
-	}
-	if r.Min != nil && f < *r.Min {
-		out = append(out, fmt.Sprintf("%s: %s below min %s", key, fmtFloat(f), fmtFloat(*r.Min)))
-	}
-	if r.Max != nil && f > *r.Max {
-		out = append(out, fmt.Sprintf("%s: %s above max %s", key, fmtFloat(f), fmtFloat(*r.Max)))
-	}
-	return out
-}
-
-func fmtFloat(f float64) string {
-	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
-		return strconv.FormatFloat(f, 'f', 0, 64)
-	}
-	return strconv.FormatFloat(f, 'g', 6, 64)
 }

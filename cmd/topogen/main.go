@@ -1,12 +1,14 @@
 // Command topogen generates a synthetic router-level Internet with
 // ground-truth routing and writes the vantage-point observations as a
-// dataset (and optionally as an MRT TABLE_DUMP_V2 file) — the substitute
-// for collecting Routeviews/RIPE feeds.
+// dataset (and optionally as an MRT TABLE_DUMP_V2 file, or as an MRT
+// update stream for `asmodel stream`) — the substitute for collecting
+// Routeviews/RIPE feeds.
 //
 // Usage:
 //
 //	topogen [flags] > paths.txt
 //	topogen -mrt rib.mrt -o paths.txt
+//	topogen -updates updates.mrt -o paths.txt
 //	topogen -workers 8 -stubs 2000      # parallel ground-truth simulation
 package main
 
@@ -47,6 +49,7 @@ func main() {
 	flag.IntVar(&cfg.NumVantageASes, "vantage", cfg.NumVantageASes, "number of ASes hosting observation points")
 	out := flag.String("o", "-", "dataset output file ('-' for stdout)")
 	mrtOut := flag.String("mrt", "", "also write the dataset as an MRT TABLE_DUMP_V2 file")
+	updatesOut := flag.String("updates", "", "also write the normalized dataset as an MRT update stream (one announcement per record, 1 s apart)")
 	quiet := flag.Bool("q", false, "suppress the summary on stderr")
 	workers := flag.Int("workers", pool.DefaultWorkers(), "worker-pool size for the ground-truth simulation (1 = sequential; identical output at any count)")
 	report := flag.String("report", "", "write a schema-versioned JSON run report to this file")
@@ -70,7 +73,7 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "debug endpoints on http://%s/metrics (also /metrics.json, /debug/vars, /debug/pprof)\n", srv.Addr)
 	}
-	if err := run(ctx, cfg, *out, *mrtOut, *quiet, *workers, *report, flag.Args()); err != nil {
+	if err := run(ctx, cfg, *out, *mrtOut, *updatesOut, *quiet, *workers, *report, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "topogen:", err)
 		if errors.Is(err, context.Canceled) {
 			os.Exit(exitInterrupted)
@@ -79,7 +82,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, cfg gen.Config, out, mrtOut string, quiet bool, workers int, reportPath string, args []string) error {
+func run(ctx context.Context, cfg gen.Config, out, mrtOut, updatesOut string, quiet bool, workers int, reportPath string, args []string) error {
 	var rep *obs.RunReport
 	var rec *obs.SpanRecorder
 	if reportPath != "" {
@@ -102,7 +105,7 @@ func run(ctx context.Context, cfg gen.Config, out, mrtOut string, quiet bool, wo
 		return err
 	}
 
-	_, wspan := obs.StartSpan(ctx, "write", obs.A("out", out), obs.A("mrt", mrtOut))
+	_, wspan := obs.StartSpan(ctx, "write", obs.A("out", out), obs.A("mrt", mrtOut), obs.A("updates", updatesOut))
 	var w io.Writer = os.Stdout
 	if out != "-" {
 		f, err := os.Create(out)
@@ -125,6 +128,19 @@ func run(ctx context.Context, cfg gen.Config, out, mrtOut string, quiet bool, wo
 		}
 		defer f.Close()
 		if err := mrt.FromDataset(f, ds, uint32(gen.CollectionTime)); err != nil {
+			wspan.End()
+			return err
+		}
+	}
+	if updatesOut != "" {
+		f, err := os.Create(updatesOut)
+		if err == nil {
+			_, err = mrt.WriteUpdates(f, ds.Clone().Normalize(), 1000, 1)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
 			wspan.End()
 			return err
 		}

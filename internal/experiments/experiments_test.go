@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"asmodel/internal/gen"
+	"asmodel/internal/pool"
 )
 
 func testSuite(t testing.TB) *Suite {
@@ -104,6 +105,35 @@ func TestRunPipelineAndDescribe(t *testing.T) {
 			t.Errorf("Describe missing %q", want)
 		}
 	}
+}
+
+// TestPaperClaimsScale1 checks the paper's headline claims on the
+// default (scale 1) synthetic Internet, the scale EXPERIMENTS.md reports:
+// refinement converges, the training half is matched exactly, and more
+// than 80% of the held-out paths match down to the final tie-break.
+func TestPaperClaimsScale1(t *testing.T) {
+	if testing.Short() {
+		t.Skip("refines the 418-prefix default Internet")
+	}
+	s, err := NewSuiteWorkers(gen.DefaultConfig(), pool.DefaultWorkers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := s.RunPipeline(0.5, 42, RefineConfigDefault())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !o.Refine.Converged {
+		t.Fatalf("refinement did not converge: %+v", o.Refine)
+	}
+	if tr := o.Train.Summary; tr.RIBOut != tr.Total {
+		t.Errorf("training RIB-Out match %d of %d paths, want all", tr.RIBOut, tr.Total)
+	}
+	frac := o.Valid.Summary.Frac(o.Valid.Summary.DownToTieBreak())
+	if frac < 0.80 {
+		t.Errorf("validation down-to-tie-break %.3f, want at least 0.80", frac)
+	}
+	t.Logf("%d iterations; validation down-to-tie-break %.3f of %d paths", o.Refine.Iterations, frac, o.ValidPaths)
 }
 
 func TestUnseenPrefixes(t *testing.T) {

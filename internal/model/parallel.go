@@ -170,6 +170,7 @@ func (m *Model) EvaluateParallel(ctx context.Context, ds *dataset.Dataset, worke
 // verifyOutcome is one settled prefix's re-simulation result from the
 // parallel verify sweep.
 type verifyOutcome struct {
+	messages                 int // delivered by the prefix's run
 	diverged                 bool
 	unsat                    int
 	ribOut, potential, ribIn int
@@ -199,7 +200,9 @@ func (rr *refineRun) verifyParallel(span *obs.Span, towork []*prefixWork, worker
 		},
 		func(_ context.Context, c *Model, i int) error {
 			w, r := towork[i], &results[i]
-			if err := c.runPrefixBudget(context.Background(), w.id, w.budget); err != nil {
+			err := c.runPrefixBudget(context.Background(), w.id, w.budget)
+			r.messages = c.Net.LastRunStats().Messages
+			if err != nil {
 				if errors.Is(err, sim.ErrDiverged) {
 					r.diverged = true
 					return nil

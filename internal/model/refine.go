@@ -188,6 +188,12 @@ type RefineEvent struct {
 	CumulativeActions RefineActionCounts `json:"cumulative_actions"`
 	// QuasiRouters is the current model topology size.
 	QuasiRouters int `json:"quasi_routers"`
+	// SimRuns and SimMessages count the propagation runs of this event's
+	// work and the messages they delivered; set on "iteration" and
+	// "verify" events. A verify sweep's counts sum over all its workers,
+	// so they are the same at any worker count.
+	SimRuns     int `json:"sim_runs,omitempty"`
+	SimMessages int `json:"sim_messages,omitempty"`
 	// VerifyRound is set on "verify" events (1-based).
 	VerifyRound int `json:"verify_round,omitempty"`
 	// Converged is set on the "done" event.
@@ -327,11 +333,20 @@ type refineRun struct {
 	maxIter   int
 	iter      int
 	cum       RefineActionCounts
+	sim       simWork // since the current iteration or verify sweep began
 	observing bool
 	// span is the run's "model.refine" span (nil without a recorder);
 	// iteration and verify-sweep child spans hang off it. Not part of the
 	// checkpointable state.
 	span *obs.Span
+}
+
+// simWork tallies propagation runs and the messages they delivered.
+type simWork struct{ runs, messages int }
+
+func (s *simWork) add(messages int) {
+	s.runs++
+	s.messages += messages
 }
 
 func newRefineRun(m *Model, train *dataset.Dataset, cfg RefineConfig) *refineRun {
@@ -403,7 +418,9 @@ func (rr *refineRun) runPrefix(w *prefixWork) error {
 			return &sim.DivergenceError{Prefix: w.id, Messages: budget + 1, Budget: budget}
 		}
 	}
-	return rr.m.runPrefixBudget(context.Background(), w.id, w.budget)
+	err := rr.m.runPrefixBudget(context.Background(), w.id, w.budget)
+	rr.sim.add(rr.m.Net.LastRunStats().Messages)
+	return err
 }
 
 // quarantine handles a divergence of w: the first one parks the prefix
@@ -493,6 +510,7 @@ func (rr *refineRun) verifySweep(span *obs.Span) (int, error) {
 		}
 		for i, o := range outcomes {
 			w := towork[i]
+			rr.sim.add(o.messages)
 			if o.diverged {
 				w.ok = false
 				continue
@@ -598,6 +616,7 @@ func (rr *refineRun) run(ctx context.Context) (*RefineResult, error) {
 			mIterations.Inc() // live, so /metrics shows mid-run progress
 			iterSpan := span.StartChild("iteration", obs.A("iteration", rr.iter))
 			before := actionSnapshot(res)
+			rr.sim = simWork{}
 			reservations := 0
 			changedAny := false
 			pending := 0
@@ -644,7 +663,8 @@ func (rr *refineRun) run(ctx context.Context) (*RefineResult, error) {
 			iterSpan.End()
 			if rr.observing {
 				rr.cum.add(actions)
-				rr.emit(RefineEvent{Type: "iteration", Actions: actions})
+				rr.emit(RefineEvent{Type: "iteration", Actions: actions,
+					SimRuns: rr.sim.runs, SimMessages: rr.sim.messages})
 			}
 			if err := rr.maybeCheckpoint(ctx, false); err != nil {
 				// A cancel that lands mid-backoff aborts the periodic
@@ -669,6 +689,7 @@ func (rr *refineRun) run(ctx context.Context) (*RefineResult, error) {
 		res.VerifyRounds++
 		mVerifies.Inc()
 		vspan := span.StartChild("verify", obs.A("round", res.VerifyRounds))
+		rr.sim = simWork{}
 		reopened, err := rr.verifySweep(vspan)
 		if err != nil {
 			vspan.End()
@@ -680,7 +701,8 @@ func (rr *refineRun) run(ctx context.Context) (*RefineResult, error) {
 			cfg.Logf("refine: verification reopened %d prefixes", reopened)
 		}
 		if rr.observing {
-			rr.emit(RefineEvent{Type: "verify", PrefixesReopened: reopened, VerifyRound: res.VerifyRounds})
+			rr.emit(RefineEvent{Type: "verify", PrefixesReopened: reopened, VerifyRound: res.VerifyRounds,
+				SimRuns: rr.sim.runs, SimMessages: rr.sim.messages})
 		}
 		if reopened > 0 {
 			continue

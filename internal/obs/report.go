@@ -22,7 +22,7 @@ const RunReportSchema = "asmodel-run-report-v1"
 // git describe), how long each stage took, and what came out (metric
 // snapshot plus command-specific sections such as ingest reports and
 // quarantine summaries). Reports are comparable across runs — the unit
-// cmd/obsreport diffs and checks against baselines.
+// cmd/obsreport diffs.
 type RunReport struct {
 	Schema      string                 `json:"schema"`
 	Command     string                 `json:"command"`

@@ -274,6 +274,79 @@ func TestCleanRunDeterministic(t *testing.T) {
 	}
 }
 
+// TestSeed7StreamCounts replays the seed-7 update stream of a 33-AS
+// generated Internet in batches of 32 records at one worker and holds
+// its replay and refinement counts to exact values: they are
+// deterministic, so a change that alters what the loop replays, refines,
+// skips or quarantines fails here. It then stops a second pass after
+// half the batches, resumes it, and requires the final state file to be
+// byte-identical to the clean pass's.
+func TestSeed7StreamCounts(t *testing.T) {
+	in, err := gen.Generate(gen.Config{
+		Seed:             7,
+		NumTier1:         3,
+		NumTier2:         6,
+		NumTier3:         10,
+		NumStub:          14,
+		RoutersTier1:     2,
+		RoutersTier2:     2,
+		RoutersTier3:     1,
+		MultiHomeProb:    0.5,
+		Tier2PeerProb:    0.2,
+		Tier3PeerProb:    0.1,
+		ParallelLinkProb: 0.3,
+		WeirdPolicyFrac:  0.1,
+		NumVantageASes:   8,
+		MaxVantagePerAS:  1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := in.RunAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "updates.mrt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mrt.WriteUpdates(f, ds.Normalize(), 1000, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := New(Config{
+		Source:       NewFileSource(path, false, 0),
+		StatePath:    filepath.Join(dir, "stream.state"),
+		BatchRecords: 32,
+		Workers:      1,
+		Bootstrap:    bootstrapDataset(t, path),
+	}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tot := res.Totals
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"records", res.Records, 264},
+		{"batches", res.Batches, 9},
+		{"changed prefixes", int64(tot.ChangedPrefixes), 33},
+		{"refined prefixes", int64(tot.RefinedPrefixes), 33},
+		{"iterations", int64(tot.Iterations), 17},
+		{"skipped records", int64(tot.SkippedRecords), 0},
+		{"quarantined batches", int64(tot.QuarantinedBatch), 0},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}
+
 // TestCrashMatrix is the recovery proof: for every fault point and
 // worker count, a run killed mid-stream and restarted produces the same
 // final state bytes, result counts and batch-event stream as an
@@ -288,7 +361,7 @@ func TestCrashMatrix(t *testing.T) {
 		point    string
 		seq      int64
 		tornAt   int64
-		tornSeq  int   // 1-based commit number to tear
+		tornSeq  int     // 1-based commit number to tear
 		loseSeqs []int64 // batch events permanently lost (committed, never emitted)
 	}
 	faults := []fault{
