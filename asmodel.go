@@ -23,12 +23,12 @@
 // Per-prefix simulation is embarrassingly parallel: Model.EvaluateParallel
 // fans prefixes across a worker pool of deep model clones and merges
 // results deterministically, so it returns exactly what Evaluate would for
-// any worker count (DefaultWorkers sizes the pool to the CPU count).
-// RefineConfig.Workers fans refinement's read-only verify sweep out over
-// the same kind of pool (the mutating iterations are a sequential walk),
-// with the identical byte-for-byte guarantee:
+// any worker count (DefaultWorkers sizes the pool to the CPU count):
 //
 //	ev, err := m.EvaluateParallel(ctx, valid, asmodel.DefaultWorkers())
+//
+// Refinement itself is one sequential walk; its verify sweep re-runs
+// only the prefixes a quasi-router duplication could have changed.
 //
 // The subpackages under internal/ carry the substrates: a C-BGP-style
 // static BGP propagation engine (internal/sim), a router-level
@@ -117,8 +117,8 @@ type (
 	// WorkerPanicError is a panic recovered inside a worker of any
 	// parallel prefix sweep, attributed to the prefix that raised it.
 	// Op names the sweep: "evaluate" (Model.EvaluateParallel),
-	// "verify" (the refine verify sweep), "generate" (ground-truth
-	// generation) or "serve" (a serving snapshot's route-table build).
+	// "generate" (ground-truth generation) or "serve" (a serving
+	// snapshot's route-table build).
 	WorkerPanicError = model.WorkerPanicError
 	// IngestOptions selects strict (abort on first malformed record) or
 	// lenient (skip, count, bounded by MaxRecordErrors) ingestion.
@@ -128,10 +128,9 @@ type (
 	IngestReport = ingest.Report
 )
 
-// DefaultWorkers is the worker-pool size Model.EvaluateParallel and
-// RefineConfig.Workers use for "one worker per available CPU": it returns
-// runtime.GOMAXPROCS(0). For refinement the pool runs the verify sweep;
-// outputs are byte-identical at any worker count.
+// DefaultWorkers is the worker-pool size Model.EvaluateParallel uses for
+// "one worker per available CPU": it returns runtime.GOMAXPROCS(0).
+// Results are identical at any worker count.
 func DefaultWorkers() int { return pool.DefaultWorkers() }
 
 // LoadCheckpointFile reads a refinement checkpoint written during a

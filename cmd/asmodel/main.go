@@ -333,7 +333,7 @@ func cmdRefine(ctx context.Context, args []string) error {
 	checkpoint := fs.String("checkpoint", "", "write a crash-safe refinement checkpoint to this file (atomic rename; also on SIGINT/SIGTERM)")
 	ckptEvery := fs.Int("checkpoint-every", model.DefaultCheckpointEvery, "iterations between checkpoints (with -checkpoint)")
 	resume := fs.Bool("resume", false, "resume refinement from the -checkpoint file instead of starting fresh")
-	workers := fs.Int("workers", pool.DefaultWorkers(), "worker-pool size for the refine verify sweep and evaluations (1 = sequential; byte-identical results at any count)")
+	workers := fs.Int("workers", pool.DefaultWorkers(), "worker-pool size for the training and validation evaluations (1 = sequential; same results at any count); refinement itself is sequential")
 	iopts := ingestFlags(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -385,7 +385,6 @@ func cmdRefine(ctx context.Context, args []string) error {
 	}
 	cfg := model.RefineConfig{
 		Checkpoint: model.CheckpointConfig{Path: *checkpoint, Every: *ckptEvery},
-		Workers:    *workers,
 	}
 	if *verbose {
 		cfg.Logf = func(format string, a ...interface{}) {

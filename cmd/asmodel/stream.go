@@ -34,7 +34,6 @@ func cmdStream(ctx context.Context, args []string) error {
 	follow := fs.Bool("follow", false, "keep tailing the source for new records instead of stopping at EOF")
 	poll := fs.Duration("poll", stream.DefaultPoll, "poll interval for -follow")
 	maxBatches := fs.Int64("max-batches", 0, "stop after this many committed batches (0 = unlimited)")
-	workers := fs.Int("workers", 1, "verify-sweep pool of each batch refinement (1 = sequential; byte-identical results at any count)")
 	refineIters := fs.Int("refine-iters", 0, "per-batch refinement iteration budget (0 = automatic)")
 	stall := fs.Duration("stall-timeout", 0, "warn and count a stall when no record arrives for this long (0 disables)")
 	killAfter := fs.Int64("kill-after-batch", 0, "crash smoke: SIGKILL this process right after committing batch N (0 disables)")
@@ -58,8 +57,6 @@ func cmdStream(ctx context.Context, args []string) error {
 		return usagef("stream: -bootstrap and -bootstrap-mrt are mutually exclusive")
 	case *batch < 1:
 		return usagef("stream: -batch must be >= 1")
-	case *workers < 1:
-		return usagef("stream: -workers must be >= 1")
 	}
 	if *debugAddr != "" {
 		if err := startDebugServer(*debugAddr); err != nil {
@@ -83,7 +80,6 @@ func cmdStream(ctx context.Context, args []string) error {
 		StatePath:     *state,
 		BatchRecords:  *batch,
 		MinAge:        *minAge,
-		Workers:       *workers,
 		MaxIterations: *refineIters,
 		MaxBatches:    *maxBatches,
 		Ingest:        iopts(),

@@ -44,7 +44,7 @@ func main() {
 	jsonPath := flag.String("json", "", "write headline numbers as JSON to this file")
 	reportPath := flag.String("report", "", "write a schema-versioned JSON run report (per-section timing + metric snapshot) to this file")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running")
-	workers := flag.Int("workers", pool.DefaultWorkers(), "worker-pool size for ground-truth generation, evaluations and refinement verify sweeps (1 = sequential; same results at any count)")
+	workers := flag.Int("workers", pool.DefaultWorkers(), "worker-pool size for ground-truth generation and evaluations (1 = sequential; same results at any count)")
 	flag.Parse()
 
 	if *workers < 1 {

@@ -31,9 +31,9 @@ type Suite struct {
 	Cfg      gen.Config
 	Internet *gen.Internet
 	Data     *dataset.Dataset
-	// Workers sizes the worker pool used for model evaluations and the
-	// refinement verify sweep (0 or 1 = sequential; results are identical
-	// for any count — see model.EvaluateParallel).
+	// Workers sizes the worker pool used for model evaluations (0 or 1 =
+	// sequential; results are identical for any count — see
+	// model.EvaluateParallel). Refinement is always sequential.
 	Workers int
 }
 
@@ -47,14 +47,6 @@ func (s *Suite) evaluate(m *model.Model, ds *dataset.Dataset) (*model.Evaluation
 	return m.EvaluateParallel(context.Background(), ds, w)
 }
 
-// refineCfg stamps the suite's worker count onto a refinement config.
-func (s *Suite) refineCfg(cfg model.RefineConfig) model.RefineConfig {
-	if cfg.Workers == 0 {
-		cfg.Workers = s.Workers
-	}
-	return cfg
-}
-
 // NewSuite generates the synthetic Internet and collects the ground-truth
 // dataset (normalized per §3.1) sequentially. NewSuiteWorkers parallelizes
 // the collection.
@@ -66,7 +58,7 @@ func NewSuite(cfg gen.Config) (*Suite, error) {
 // over a worker pool (gen.Internet.RunAllParallel): the dominant cost of
 // suite setup at -scale > 1. The dataset is identical for any worker
 // count; workers also becomes the suite's pool size for model evaluations
-// and refinement verify sweeps (workers <= 0 selects one per CPU).
+// (workers <= 0 selects one per CPU).
 func NewSuiteWorkers(cfg gen.Config, workers int) (*Suite, error) {
 	if workers <= 0 {
 		workers = pool.DefaultWorkers()
@@ -231,7 +223,7 @@ func (s *Suite) RunPipeline(trainFrac float64, seed int64, cfg model.RefineConfi
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.Refine(train, s.refineCfg(cfg))
+	res, err := m.Refine(train, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +341,7 @@ func (s *Suite) UnseenPrefixes(trainFrac float64, seed int64) (*RefineOutcome, e
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.Refine(train, s.refineCfg(model.RefineConfig{}))
+	res, err := m.Refine(train, model.RefineConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -596,7 +588,7 @@ func (s *Suite) CombinedSplit(trainFrac float64, seed int64) (*RefineOutcome, er
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.Refine(train, s.refineCfg(model.RefineConfig{}))
+	res, err := m.Refine(train, model.RefineConfig{})
 	if err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ func (s *Suite) WhatIfFidelity(nLinks, perLink int) (*WhatIfFidelityResult, stri
 	if err != nil {
 		return nil, "", err
 	}
-	if _, err := m.Refine(s.Data, s.refineCfg(model.RefineConfig{})); err != nil {
+	if _, err := m.Refine(s.Data, model.RefineConfig{}); err != nil {
 		return nil, "", err
 	}
 

@@ -64,30 +64,6 @@ func TestEvaluateParallelRecoversPanic(t *testing.T) {
 	}
 }
 
-// TestRefineVerifyRecoversPanic: a panic inside the parallel verify
-// sweep must abort the refinement with a typed error instead of
-// crashing or hanging the worker-pool merge.
-func TestRefineVerifyRecoversPanic(t *testing.T) {
-	_, ds := refineSample(t)
-	m, err := NewInitial(topology.FromDataset(ds), dataset.NewUniverse(ds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	installPanicHook(t, faultinject.NewPanicInjector(1))
-
-	_, err = m.Refine(ds, RefineConfig{Workers: 2})
-	var wp *WorkerPanicError
-	if !errors.As(err, &wp) {
-		t.Fatalf("want *WorkerPanicError, got %T: %v", err, err)
-	}
-	if wp.Op != "verify" {
-		t.Fatalf("Op = %q, want verify", wp.Op)
-	}
-	if wp.Prefix == "" || len(wp.Stack) == 0 {
-		t.Fatalf("incomplete panic context: %+v", wp)
-	}
-}
-
 // sampleCheckpoint builds a small but complete checkpoint for the write
 // fault tests.
 func sampleCheckpoint(t *testing.T) *Checkpoint {

@@ -12,14 +12,14 @@ import (
 )
 
 // The deterministic work of refining the training half (observation-point
-// split 0.5, seed 7) of the seed-7 generated Internet at Workers: 1.
+// split 0.5, seed 7) of the seed-7 generated Internet.
 // Every value is exact on any host: propagation, refinement and
 // serialization are deterministic. A change that moves one of them on
 // purpose updates the constant here and says so, with the old and the
 // new value, in CHANGES.md.
 const (
-	goldenSimRuns     = 285
-	goldenSimMessages = 166887
+	goldenSimRuns     = 211
+	goldenSimMessages = 120599
 
 	goldenIterations     = 4
 	goldenVerifyRounds   = 1
@@ -48,7 +48,7 @@ func TestRefineWorkGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var runs, msgs int
-	cfg := RefineConfig{Workers: 1, Observer: func(ev RefineEvent) {
+	cfg := RefineConfig{Observer: func(ev RefineEvent) {
 		runs += ev.SimRuns
 		msgs += ev.SimMessages
 	}}

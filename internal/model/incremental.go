@@ -16,9 +16,9 @@ var mIncrRefines = obs.GetCounter("refine_incremental_runs_total",
 // update batch. It is the entry point the streaming refinement loop
 // patches the model through: the delta's prefixes become a small open
 // worklist and run through exactly the machinery a full refinement uses
-// (sequential refine iterations, a verify sweep on Workers clones), so
-// the byte-identity contract — same model bytes, counts and trace events
-// at any worker count — extends to every batch.
+// (sequential refine iterations, then a verify sweep over the delta
+// prefixes that ran before the batch's last duplication), so identical
+// batches give identical model bytes, counts and trace events.
 //
 // Policies installed by earlier refinements for unchanged prefixes are
 // left alone; delta prefixes are re-targeted at their complete current

@@ -166,54 +166,3 @@ func (m *Model) EvaluateParallel(ctx context.Context, ds *dataset.Dataset, worke
 	span.Set(obs.A("diverged", ev.Diverged))
 	return ev, nil
 }
-
-// verifyOutcome is one settled prefix's re-simulation result from the
-// parallel verify sweep.
-type verifyOutcome struct {
-	messages                 int // delivered by the prefix's run
-	diverged                 bool
-	unsat                    int
-	ribOut, potential, ribIn int
-}
-
-// verifyParallel re-simulates the given settled prefixes on per-worker
-// model clones and reports each one's unsatisfied-requirement count (and
-// match counts when observing). It performs no model mutation and no
-// worklist state changes — the caller applies outcomes in deterministic
-// worklist order — so any worker count yields the same refinement.
-// Each worker takes a fresh Clone of the model, as EvaluateParallel's
-// do. Worker spans attach under span (the verify-sweep span; nil is
-// fine).
-func (rr *refineRun) verifyParallel(span *obs.Span, towork []*prefixWork, workers int) ([]verifyOutcome, error) {
-	mParWorkers.Set(int64(workers))
-	results := make([]verifyOutcome, len(towork))
-	sweep := pool.Sweep{
-		Op:    "verify",
-		Name:  func(i int) string { return rr.name(towork[i]) },
-		Span:  span,
-		Items: mParPerWkr, Busy: mEvalBusy, Idle: mEvalIdle,
-	}
-	err := pool.Run(context.Background(), sweep, len(towork), workers,
-		func(int) *Model {
-			mParClones.Inc()
-			return rr.m.Clone()
-		},
-		func(_ context.Context, c *Model, i int) error {
-			w, r := towork[i], &results[i]
-			err := c.runPrefixBudget(context.Background(), w.id, w.budget)
-			r.messages = c.Net.LastRunStats().Messages
-			if err != nil {
-				if errors.Is(err, sim.ErrDiverged) {
-					r.diverged = true
-					return nil
-				}
-				return err
-			}
-			if rr.observing {
-				r.ribOut, r.potential, r.ribIn = c.matchCounts(w)
-			}
-			r.unsat = c.countUnsatisfied(w)
-			return nil
-		})
-	return results, err
-}

@@ -9,7 +9,6 @@ import (
 	"asmodel/internal/bgp"
 	"asmodel/internal/dataset"
 	"asmodel/internal/obs"
-	"asmodel/internal/pool"
 	"asmodel/internal/sim"
 )
 
@@ -62,14 +61,8 @@ type RefineConfig struct {
 	// E10c). The paper reports this approach caused divergence; the
 	// engine's message budget detects it.
 	UseLocalPref bool
-	// Workers sizes the worker pool of the read-only verify-and-reopen
-	// sweep, which re-simulates settled prefixes on per-worker model
-	// clones. The mutating refine iterations always run sequentially
-	// (DESIGN.md §5 "Why refinement is sequential"). Sweep outcomes are
-	// applied in worklist order, so any worker count produces
-	// byte-identical results: model serialization, result counts,
-	// checkpoints, trace events and redacted spans. 0 or 1 keeps the
-	// sweep sequential; a negative value selects one worker per CPU.
+	// Deprecated: Workers is ignored; refinement runs on one sequential
+	// path (DESIGN.md §5 "Why refinement is sequential").
 	Workers int
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...interface{})
@@ -86,9 +79,7 @@ type RefineConfig struct {
 
 	// forceDiverge, when non-nil, makes the next n simulation runs of
 	// each listed prefix report a synthetic divergence (test seam for the
-	// quarantine path; counts are decremented per run). While it is set
-	// the verify sweep takes its sequential path, so the seam is consumed
-	// in worklist order at any worker count.
+	// quarantine path; counts are decremented per run).
 	forceDiverge map[bgp.PrefixID]int
 }
 
@@ -190,8 +181,8 @@ type RefineEvent struct {
 	QuasiRouters int `json:"quasi_routers"`
 	// SimRuns and SimMessages count the propagation runs of this event's
 	// work and the messages they delivered; set on "iteration" and
-	// "verify" events. A verify sweep's counts sum over all its workers,
-	// so they are the same at any worker count.
+	// "verify" events. A verify sweep counts only the settled prefixes it
+	// re-ran (see verifySweep).
 	SimRuns     int `json:"sim_runs,omitempty"`
 	SimMessages int `json:"sim_messages,omitempty"`
 	// VerifyRound is set on "verify" events (1-based).
@@ -289,6 +280,11 @@ type prefixWork struct {
 	budget      int                  // per-prefix message budget override (0 = default)
 	div         *sim.DivergenceError // most recent divergence context
 
+	// routers is the quasi-router count when the prefix last ran (0 if
+	// it has not run in this process). The verify sweep skips a settled
+	// prefix whose count is still current.
+	routers int
+
 	// Last observed requirement match counts (observer only); cumulative
 	// thresholds: ribIn >= potential >= ribOut.
 	ribOut    int
@@ -304,9 +300,10 @@ type prefixWork struct {
 // quasi-router duplications change the shared topology: a new quasi-router
 // advertises routes for every prefix and can invalidate previously
 // satisfied ones. Refine therefore runs to a fixpoint: the inner loop
-// settles every prefix, then a verification sweep re-simulates all
-// settled prefixes and re-opens any the topology growth broke, until a
-// sweep finds nothing broken (or the iteration budget runs out).
+// settles every prefix, then a verification sweep re-simulates the
+// settled prefixes that ran before the latest duplication and re-opens
+// any the topology growth broke, until a sweep finds nothing broken (or
+// the iteration budget runs out).
 func (m *Model) Refine(train *dataset.Dataset, cfg RefineConfig) (*RefineResult, error) {
 	return m.RefineContext(context.Background(), train, cfg)
 }
@@ -420,6 +417,7 @@ func (rr *refineRun) runPrefix(w *prefixWork) error {
 	}
 	err := rr.m.runPrefixBudget(context.Background(), w.id, w.budget)
 	rr.sim.add(rr.m.Net.LastRunStats().Messages)
+	w.routers = rr.m.Net.NumRouters()
 	return err
 }
 
@@ -481,52 +479,21 @@ func (rr *refineRun) retryQuarantined() int {
 	return n
 }
 
-// verifySweep re-simulates every settled prefix and re-opens the ones
-// later topology growth broke, returning how many it re-opened. The
-// sweep only reads the model, so with cfg.Workers it fans the prefixes
-// out across fresh per-worker model clones (the forceDiverge test seam
-// forces the sequential path: it decrements shared per-prefix counters).
-// Outcomes are applied in worklist order either way, so the sweep is
-// deterministic for any worker count. Worker spans attach under span
-// (the caller's verify span; nil is fine).
+// verifySweep re-simulates the settled prefixes that last ran before a
+// quasi-router was added and re-opens the ones that topology growth
+// broke, returning how many it re-opened. A prefix's run depends only on
+// the quasi-router topology and its own policies; refine edits a
+// prefix's policies only while it is open, and routers are only ever
+// added (Model.DuplicateQR), so a settled prefix whose last run saw the
+// current router count would run to the same state and is skipped.
 func (rr *refineRun) verifySweep(span *obs.Span) (int, error) {
-	var towork []*prefixWork
+	routers := rr.m.Net.NumRouters()
+	ran, reopened := 0, 0
 	for _, w := range rr.works {
-		if w.done && !w.gaveUp && w.ok {
-			towork = append(towork, w)
+		if !w.done || w.gaveUp || !w.ok || w.routers == routers {
+			continue
 		}
-	}
-	workers := rr.cfg.Workers
-	if workers == 0 {
-		workers = 1 // 0 keeps the sweep sequential; negative is one per CPU
-	}
-	workers = pool.Workers(workers, len(towork))
-	span.Set(obs.A("prefixes", len(towork)), obs.VolatileAttr("workers", workers))
-	reopened := 0
-	if workers > 1 && rr.cfg.forceDiverge == nil {
-		outcomes, err := rr.verifyParallel(span, towork, workers)
-		if err != nil {
-			return 0, err
-		}
-		for i, o := range outcomes {
-			w := towork[i]
-			rr.sim.add(o.messages)
-			if o.diverged {
-				w.ok = false
-				continue
-			}
-			if rr.observing {
-				w.ribOut, w.potential, w.ribIn = o.ribOut, o.potential, o.ribIn
-			}
-			if o.unsat > 0 {
-				w.done = false
-				w.ok = false
-				reopened++
-			}
-		}
-		return reopened, nil
-	}
-	for _, w := range towork {
+		ran++
 		if err := rr.runPrefix(w); err != nil {
 			if errors.Is(err, sim.ErrDiverged) {
 				w.ok = false
@@ -543,6 +510,7 @@ func (rr *refineRun) verifySweep(span *obs.Span) (int, error) {
 			reopened++
 		}
 	}
+	span.Set(obs.A("prefixes", ran))
 	return reopened, nil
 }
 
@@ -601,8 +569,7 @@ func (rr *refineRun) checkInterrupt(ctx context.Context) error {
 func (rr *refineRun) run(ctx context.Context) (*RefineResult, error) {
 	m, res, cfg := rr.m, rr.res, rr.cfg
 	_, span := obs.StartSpan(ctx, "model.refine",
-		obs.A("prefixes", len(rr.works)), obs.A("max_iterations", rr.maxIter),
-		obs.VolatileAttr("workers", cfg.Workers))
+		obs.A("prefixes", len(rr.works)), obs.A("max_iterations", rr.maxIter))
 	defer span.End()
 	rr.span = span
 	for rr.iter < rr.maxIter {

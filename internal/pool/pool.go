@@ -1,6 +1,6 @@
 // Package pool is the one worker pool behind every per-prefix sweep:
-// evaluation, the refine verify sweep, ground-truth generation and the
-// serving route-table build. Policies are kept per (session, prefix)
+// evaluation, ground-truth generation and the serving route-table
+// build. Policies are kept per (session, prefix)
 // and each prefix is simulated on its own, so a sweep is n independent
 // items fanned out over per-worker state and merged by the caller in
 // index order — which is what makes every sweep's output identical at
@@ -49,8 +49,8 @@ func Workers(workers, n int) int {
 // one prefix's simulation fails the call instead of killing the
 // process.
 type PanicError struct {
-	// Op is the sweep that panicked: "evaluate", "verify", "generate" or
-	// "serve" (a serving snapshot's route-table build).
+	// Op is the sweep that panicked: "evaluate", "generate" or "serve"
+	// (a serving snapshot's route-table build).
 	Op string
 	// Prefix names the prefix being processed when the panic fired.
 	Prefix string

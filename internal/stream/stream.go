@@ -62,8 +62,8 @@ type Config struct {
 	// MinAge applies the paper's stable-route filter to batch snapshots
 	// (seconds; 0 disables). Also cursor-validated.
 	MinAge int64
-	// Workers sizes each batch refinement's verify-sweep pool
-	// (1 = sequential; byte-identical results at any count).
+	// Deprecated: Workers is ignored; batch refinement runs on one
+	// sequential path.
 	Workers int
 	// MaxIterations bounds each batch's refinement (0 = automatic).
 	MaxIterations int
@@ -98,9 +98,6 @@ type Config struct {
 func (c Config) norm() Config {
 	if c.BatchRecords <= 0 {
 		c.BatchRecords = DefaultBatchRecords
-	}
-	if c.Workers < 1 {
-		c.Workers = 1
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...interface{}) {}
@@ -213,8 +210,7 @@ func (s *Streamer) Run(ctx context.Context) (*Result, error) {
 	}
 	_, span := obs.StartSpan(ctx, "stream.run",
 		obs.A("source", s.cfg.Source.Describe()),
-		obs.A("batch_records", s.cfg.BatchRecords),
-		obs.VolatileAttr("workers", s.cfg.Workers))
+		obs.A("batch_records", s.cfg.BatchRecords))
 	defer span.End()
 
 	s.rep = ingest.NewReport("mrt", s.cfg.Ingest)
@@ -607,7 +603,6 @@ type batchOutcome struct {
 func (s *Streamer) refineBatch(ctx context.Context, bspan *obs.Span, seq int64, delta *dataset.Dataset, bootstrap bool) (*batchOutcome, error) {
 	out := &batchOutcome{}
 	cfg := model.RefineConfig{
-		Workers:       s.cfg.Workers,
 		MaxIterations: s.cfg.MaxIterations,
 		Logf:          s.cfg.Logf,
 	}

@@ -275,12 +275,11 @@ func TestCleanRunDeterministic(t *testing.T) {
 }
 
 // TestSeed7StreamCounts replays the seed-7 update stream of a 33-AS
-// generated Internet in batches of 32 records at one worker and holds
-// its replay and refinement counts to exact values: they are
-// deterministic, so a change that alters what the loop replays, refines,
-// skips or quarantines fails here. It then stops a second pass after
-// half the batches, resumes it, and requires the final state file to be
-// byte-identical to the clean pass's.
+// generated Internet in batches of 32 records and holds its replay and
+// refinement counts to exact values: they are deterministic, so a change
+// that alters what the loop replays, refines, skips or quarantines fails
+// here. It also requires the last committed model to RIB-Out match every
+// path of the whole stream.
 func TestSeed7StreamCounts(t *testing.T) {
 	in, err := gen.Generate(gen.Config{
 		Seed:             7,
@@ -318,15 +317,26 @@ func TestSeed7StreamCounts(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	var last *model.Model
 	res, err := New(Config{
 		Source:       NewFileSource(path, false, 0),
 		StatePath:    filepath.Join(dir, "stream.state"),
 		BatchRecords: 32,
-		Workers:      1,
 		Bootstrap:    bootstrapDataset(t, path),
+		OnCommit:     func(st *State) { last = st.Checkpoint.Model },
 	}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The streamed model must still reproduce every record it was trained
+	// on, including the prefixes that settled before a later batch's
+	// quasi-router duplications.
+	ev, err := last.Evaluate(bootstrapDataset(t, path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Summary.Total == 0 || ev.Summary.RIBOut != ev.Summary.Total {
+		t.Errorf("streamed model RIB-Out matches %d of %d training paths", ev.Summary.RIBOut, ev.Summary.Total)
 	}
 	tot := res.Totals
 	for _, c := range []struct {
