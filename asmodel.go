@@ -274,8 +274,9 @@ func NewServer(cfg ServeConfig) *ServeServer { return serve.New(cfg) }
 
 // NewServingSnapshot wraps a quiescent refined model for concurrent
 // prediction serving without the daemon. It propagates every prefix once
-// on n workers (n <= 0 means DefaultWorkers()) into a route table, so
-// each Predict is a lookup.
+// on n workers (n <= 0 means DefaultWorkers()) into a table of routing
+// trees, so no Predict runs the simulator. The model must not change
+// while the snapshot serves: queries read its policies.
 func NewServingSnapshot(m *Model, n int) *ServeSnapshot {
 	return serve.NewSnapshot(m, n)
 }

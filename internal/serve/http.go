@@ -18,6 +18,8 @@ var (
 	mRequests = obs.GetCounter("serve_requests_total", "prediction requests accepted (post-shedding)")
 	mReqHist  = obs.Default().Histogram("serve_request_seconds", "prediction request latency",
 		obs.ExpBuckets(0.0001, 2, 16))
+	mPredictHist = obs.GetHistogram("serve_predict_seconds", "Snapshot.Predict time per request: table lookup, candidate rebuild and path rendering",
+		obs.ExpBuckets(1e-6, 2, 16))
 	mShed     = obs.GetCounter("serve_shed_total", "requests shed with 429 (in-flight bound reached)")
 	mUnready  = obs.GetCounter("serve_unready_total", "requests refused with 503 (draining or no snapshot)")
 	mTimeouts = obs.GetCounter("serve_timeouts_total", "requests that exceeded the per-request deadline (504)")
@@ -139,7 +141,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// Pin the snapshot once: a hot-swap mid-request must not mix
 	// snapshots within one response.
 	snap := s.snap.Load()
+	start := time.Now()
 	pred, err := snap.Predict(r.Context(), prefix, bgp.ASN(vantage64), k)
+	mPredictHist.Observe(time.Since(start).Seconds())
 	if err != nil {
 		s.writePredictErr(w, r, err)
 		return

@@ -22,6 +22,7 @@ var (
 	mRollbacks   = obs.GetCounter("serve_rollbacks_total", "failed reloads rolled back while a previous snapshot kept serving")
 	mSnapSeq     = obs.GetGauge("serve_snapshot_seq", "sequence number of the serving snapshot")
 	mSnapIter    = obs.GetGauge("serve_snapshot_iteration", "refinement iteration of the serving snapshot")
+	mTableBytes  = obs.GetGauge("serve_table_bytes", "row storage of the serving snapshot's routing-tree table (2 bytes per prefix and quasi-router)")
 )
 
 // Defaults for Config's zero values.
@@ -280,6 +281,7 @@ func (s *Server) install(ctx context.Context, build func(workers int) (*Snapshot
 	mReloads.Inc()
 	mSnapSeq.Set(snap.Seq)
 	mSnapIter.Set(int64(snap.Iteration))
+	mTableBytes.Set(int64(2 * len(snap.table.rows)))
 	s.cfg.Logf("serve: snapshot %d serving (%s, %d prefixes, %d quasi-routers)",
 		snap.Seq, describeSource(snap), snap.base.Universe.Len(), snap.base.NumQuasiRouters())
 	return nil

@@ -1,7 +1,7 @@
 // Package serve turns a refined quasi-router model into a long-lived
 // route-prediction service: an immutable model snapshot answering
-// (vantage, prefix) → predicted AS-path queries over HTTP/JSON from a
-// route table precomputed when the snapshot is built, with validated
+// (vantage, prefix) → predicted AS-path queries over HTTP/JSON from
+// routing trees precomputed when the snapshot is built, with validated
 // atomic hot-swap of new checkpoints, bounded in-flight load shedding,
 // and a drain-on-signal lifecycle. The package is engineered for failure
 // first: a corrupt or torn checkpoint, a diverging propagation, a
@@ -10,10 +10,12 @@
 package serve
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -22,6 +24,7 @@ import (
 	"asmodel/internal/model"
 	"asmodel/internal/obs"
 	"asmodel/internal/pool"
+	"asmodel/internal/sim"
 )
 
 var (
@@ -70,9 +73,10 @@ type Prediction struct {
 }
 
 // Snapshot is an immutable serving unit: a quiescent refined model plus
-// the route table holding its answer to every (prefix, vantage) query.
-// The table is built once, when the snapshot is, so a query is a lookup
-// and never propagates; a hot-swap replaces model and table together.
+// the route table of its routing trees, from which, with the model's
+// policies, every (prefix, vantage) query is answered. The table is
+// built once, when the snapshot is, so a query never propagates; a
+// hot-swap replaces model and table together.
 type Snapshot struct {
 	// Seq is the swap sequence number (1 for the boot snapshot).
 	Seq int64
@@ -96,8 +100,10 @@ type Snapshot struct {
 }
 
 // NewSnapshot wraps a quiescent model for serving, building its route
-// table on n workers (n <= 0 means pool.DefaultWorkers()). A build that
-// fails — a panic, which becomes a *pool.PanicError — leaves a snapshot
+// table on n workers (n <= 0 means pool.DefaultWorkers()). Queries read
+// the model's topology and policies, so it must not change while the
+// snapshot serves. A build that fails — a panic, which becomes a
+// *pool.PanicError, or a model with session hooks — leaves a snapshot
 // whose every Predict returns that error.
 func NewSnapshot(m *model.Model, n int) *Snapshot {
 	s, _ := buildSnapshot(context.Background(), m, n)
@@ -130,194 +136,52 @@ type ErrUnknownPrefix struct{ Prefix string }
 
 func (e *ErrUnknownPrefix) Error() string { return "serve: unknown prefix " + e.Prefix }
 
-// Predict answers one (vantage, prefix) query against this snapshot's
-// route table. k caps the number of alternates returned (k <= 0 means
-// none, capped at what the decision records contain). A prefix whose
-// propagation failed at build time (divergence, no origin in the model)
-// answers with that error.
-func (s *Snapshot) Predict(ctx context.Context, prefixName string, vantage bgp.ASN, k int) (*Prediction, error) {
-	if predictFault != nil {
-		predictFault(prefixName)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.err != nil {
-		return nil, s.err
-	}
-	id, ok := s.base.Universe.ID(prefixName)
-	if !ok {
-		return nil, &ErrUnknownPrefix{Prefix: prefixName}
-	}
-	if err := s.table.errs[id]; err != nil {
-		return nil, err
-	}
-	v, ok := slices.BinarySearch(s.table.vantages, vantage)
-	if !ok {
-		return nil, &ErrUnknownVantage{AS: vantage}
-	}
-	p := s.table.predict(id, v, k)
-	p.Prefix = prefixName
-	p.SnapshotSeq = s.Seq
-	return p, nil
-}
-
-// routeTable is a snapshot's answer to every (prefix, vantage) query:
-// one cell per pair, pointing into flat arrays of interned path text.
+// routeTable is a snapshot's routing trees: for every prefix, the slot
+// each quasi-router's best route came from (sim.Router.BestSlot), which
+// with the model's policies determines every answer (DESIGN.md §8).
 // Apart from the few per-prefix errors it holds no pointers, so the
-// garbage collector never scans it, and the old and new tables that
-// coexist at every swap cost their bytes and nothing more.
+// garbage collector never scans it.
 type routeTable struct {
-	// vantages is every AS with quasi-routers, sorted; a vantage's dense
-	// index is its position.
-	vantages []bgp.ASN
-	// cells holds (prefix p, vantage v) at p*len(vantages)+v.
-	cells []cell
-	// paths holds each cell's distinct best paths, sorted, as path IDs;
-	// alts holds each cell's eliminated alternates, deepest first.
-	paths []uint32
-	alts  []altRef
-	// text is the interned path text as the vantage received it (the
-	// vantage itself not prepended): path i is text[ends[i-1]:ends[i]].
-	text []byte
-	ends []uint32
-	// errs holds the prefixes whose propagation failed.
-	errs map[bgp.PrefixID]error
+	routers int // row length: the model's quasi-router count
+	// rows holds router r's best slot for prefix p at p*routers+r.Index(),
+	// slot s stored as s+2: a zero row (a failed prefix's) has no route.
+	rows []uint16
+	errs []error // per prefix, why its propagation failed
 }
 
-// cell is one (prefix, vantage) answer. Its paths and alternates end at
-// pathsEnd and altsEnd and start where the previous cell's end.
-type cell struct {
-	best              uint32 // path ID of the AS-level primary; noRoute when none
-	pathsEnd, altsEnd uint32
-	tie               bgp.Step
-}
+// Row values besides a peer slot s, which is stored as s+2.
+const (
+	rowNone  = sim.NoSlot + 2
+	rowLocal = sim.LocalSlot + 2
+)
 
-// altRef is one eliminated alternate: a path ID and the step that
-// eliminated it.
-type altRef struct {
-	path uint32
-	step bgp.Step
-}
-
-const noRoute = ^uint32(0)
-
-// predict renders the (prefix id, vantage index v) cell.
-func (t *routeTable) predict(id bgp.PrefixID, v, k int) *Prediction {
-	vantage := t.vantages[v]
-	i := int(id)*len(t.vantages) + v
-	c := t.cells[i]
-	var pathsStart, altsStart int
-	if i > 0 {
-		pathsStart, altsStart = int(t.cells[i-1].pathsEnd), int(t.cells[i-1].altsEnd)
-	}
-	altsEnd := altsStart + min(max(k, 0), int(c.altsEnd)-altsStart)
-	p := &Prediction{
-		Vantage:       vantage,
-		HasRoute:      c.best != noRoute,
-		TieBreakStep:  c.tie.String(),
-		TieBreakDepth: int(c.tie),
-	}
-	if p.HasRoute {
-		p.Path = t.render(vantage, c.best)
-	}
-	for _, pid := range t.paths[pathsStart:c.pathsEnd] {
-		p.Paths = append(p.Paths, t.render(vantage, pid))
-	}
-	for _, a := range t.alts[altsStart:altsEnd] {
-		p.Alternates = append(p.Alternates, Alternate{
-			Path:         t.render(vantage, a.path),
-			EliminatedAt: a.step.String(),
-			Depth:        int(a.step),
-		})
-	}
-	return p
-}
-
-// render returns path id with the vantage prepended, as the vantage
-// would export it: the same text as bgp.Path.Prepend(vantage).String().
-func (t *routeTable) render(vantage bgp.ASN, id uint32) string {
-	var start uint32
-	if id > 0 {
-		start = t.ends[id-1]
-	}
-	text := t.text[start:t.ends[id]]
-	b := make([]byte, 0, 11+len(text))
-	b = strconv.AppendUint(b, uint64(vantage), 10)
-	if len(text) > 0 {
-		b = append(b, ' ')
-		b = append(b, text...)
-	}
-	return string(b)
-}
-
-// vantageRoutes is one AS's converged decision state for one prefix,
-// its paths as the AS received them (the AS itself not prepended).
-// Every path of one AS would be prepended with the same AS, so sorting
-// and deduplicating them unprepended gives the prepended order.
-type vantageRoutes struct {
-	hasRoute bool
-	best     string
-	paths    []string
-	alts     []altRoute
-	tie      bgp.Step
-}
-
-type altRoute struct {
-	path string
-	step bgp.Step
+func (t *routeTable) row(id bgp.PrefixID) []uint16 {
+	return t.rows[int(id)*t.routers : (int(id)+1)*t.routers]
 }
 
 // buildTable propagates every prefix of m once on the worker pool and
-// extracts every vantage's decision state into a route table. Workers
-// each propagate on their own clone; results are interned in prefix
-// order as they complete, so the table is identical at any worker count
-// and only a few prefixes' uninterned results are ever held at once.
-// A prefix that diverges or has no origin in the model keeps its error
-// in the table; a panic or ctx's cancellation fails the build.
+// copies every quasi-router's best slot into the prefix's row. Workers
+// each propagate on their own clone and write disjoint rows, so the
+// table is identical at any worker count. A prefix that diverges or has
+// no origin in the model keeps its error in the table; a panic or ctx's
+// cancellation fails the build, as does a model the rows cannot
+// describe.
 func buildTable(ctx context.Context, m *model.Model, workers int) (*routeTable, error) {
-	hist := m.QuasiRouterHistogram()
-	vantages := make([]bgp.ASN, 0, len(hist))
-	for asn := range hist {
-		vantages = append(vantages, asn)
+	if err := checkServable(m); err != nil {
+		return nil, err
 	}
-	slices.Sort(vantages)
-	n := m.Universe.Len()
+	n, routers := m.Universe.Len(), m.NumQuasiRouters()
 	workers = max(pool.Workers(workers, n), 1)
 	ctx, span := obs.StartSpan(ctx, "serve.build_table",
-		obs.A("prefixes", n), obs.A("vantages", len(vantages)), obs.VolatileAttr("workers", workers))
+		obs.A("prefixes", n), obs.A("quasi_routers", routers), obs.VolatileAttr("workers", workers))
 	defer span.End()
 
-	b := &tableBuilder{
-		t:      &routeTable{vantages: vantages, errs: make(map[bgp.PrefixID]error)},
-		intern: make(map[string]uint32),
-	}
-	type result struct {
-		routes []vantageRoutes
-		err    error
-		done   bool
-	}
-	results := make([]result, n)
-	var mu sync.Mutex
-	next := 0
+	t := &routeTable{routers: routers, rows: make([]uint16, n*routers), errs: make([]error, n)}
 	sweep := pool.Sweep{
 		Op:    "serve",
 		Name:  func(i int) string { return m.Universe.Name(bgp.PrefixID(i)) },
 		Span:  span,
 		Items: mBuildItems, Busy: mBuildBusy, Idle: mBuildIdle,
-		// Intern every prefix up to the first one still running.
-		Done: func(i int, err error) {
-			if err != nil {
-				return // the sweep fails: nothing more is merged
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			results[i].done = true
-			for ; next < n && results[next].done; next++ {
-				b.add(bgp.PrefixID(next), results[next].routes, results[next].err)
-				results[next] = result{done: true}
-			}
-		},
 	}
 	newWorker := func(int) *model.Model {
 		mClones.Inc()
@@ -328,116 +192,242 @@ func buildTable(ctx context.Context, m *model.Model, workers int) (*routeTable, 
 			if ctx.Err() != nil {
 				return err
 			}
-			results[i].err = err
+			t.errs[i] = err
 			return nil
 		}
 		mPropagates.Inc()
-		routes := make([]vantageRoutes, len(vantages))
-		for v, asn := range vantages {
-			routes[v] = extractVantage(c, asn)
+		row := t.row(bgp.PrefixID(i))
+		for j, r := range c.Net.Routers() {
+			row[j] = uint16(r.BestSlot() + 2)
 		}
-		results[i].routes = routes
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return b.t, nil
+	return t, nil
 }
 
-// tableBuilder appends prefixes to a route table in prefix order,
-// interning their path text.
-type tableBuilder struct {
-	t      *routeTable
-	intern map[string]uint32
-}
-
-// add appends the cells of prefix id: its vantages' routes, or, for a
-// prefix whose propagation failed, err and empty cells.
-func (b *tableBuilder) add(id bgp.PrefixID, routes []vantageRoutes, err error) {
-	t := b.t
-	if err != nil {
-		t.errs[id] = err
-		routes = make([]vantageRoutes, len(t.vantages))
-	}
-	for _, r := range routes {
-		c := cell{best: noRoute, tie: r.tie}
-		if r.hasRoute {
-			c.best = b.path(r.best)
+// checkServable rejects a model whose routes the rows cannot rebuild: a
+// session hook changes or suppresses routes beyond what per-prefix
+// policies record, and a row value holds a slot below 2^16-2.
+func checkServable(m *model.Model) error {
+	for _, r := range m.Net.Routers() {
+		if len(r.Peers()) > math.MaxUint16-2 {
+			return fmt.Errorf("serve: quasi-router %s has %d sessions, more than a routing-tree row can index", r.ID, len(r.Peers()))
 		}
-		for _, p := range r.paths {
-			t.paths = append(t.paths, b.path(p))
-		}
-		for _, a := range r.alts {
-			t.alts = append(t.alts, altRef{path: b.path(a.path), step: a.step})
-		}
-		c.pathsEnd, c.altsEnd = uint32(len(t.paths)), uint32(len(t.alts))
-		t.cells = append(t.cells, c)
-	}
-}
-
-// path returns the ID of path text p, interning it on first sight.
-func (b *tableBuilder) path(p string) uint32 {
-	if id, ok := b.intern[p]; ok {
-		return id
-	}
-	id := uint32(len(b.t.ends))
-	b.t.text = append(b.t.text, p...)
-	b.t.ends = append(b.t.ends, uint32(len(b.t.text)))
-	b.intern[p] = id
-	return id
-}
-
-// extractVantage reads the converged decision state of AS asn off a
-// model that just ran one prefix.
-func extractVantage(m *model.Model, asn bgp.ASN) vantageRoutes {
-	var vr vantageRoutes
-	var bests []*bgp.Route
-	bestSet := make(map[string]bool)
-	altBest := make(map[string]bgp.Step)
-	for _, q := range m.QuasiRouters(asn) {
-		if b := q.Best(); b != nil {
-			bests = append(bests, b)
-			p := b.Path.String()
-			if !bestSet[p] {
-				bestSet[p] = true
-				vr.paths = append(vr.paths, p)
-			}
-		}
-		cands, elim := q.DecideRIB()
-		for i, c := range cands {
-			if elim[i] > vr.tie {
-				vr.tie = elim[i]
-			}
-			if elim[i] == bgp.StepNone {
-				continue
-			}
-			// Keep the deepest elimination per distinct path: it survived
-			// the most decision steps somewhere in the AS.
-			p := c.Path.String()
-			if prev, ok := altBest[p]; !ok || elim[i] > prev {
-				altBest[p] = elim[i]
+		for _, p := range r.Peers() {
+			if p.ImportHook != nil || p.ExportHook != nil {
+				return fmt.Errorf("serve: session %s->%s has an import or export hook; routing trees rebuild routes from per-prefix policies only", r.ID, p.Remote.ID)
 			}
 		}
 	}
-	sort.Strings(vr.paths)
-	if len(bests) > 0 {
-		vr.hasRoute = true
-		// The AS-level primary is what the decision process would pick
-		// given the quasi-routers' bests as candidates.
-		best, _ := bgp.Decide(bgp.QuasiRouterConfig, bests, nil)
-		vr.best = bests[best].Path.String()
+	return nil
+}
+
+// query is the scratch space one Predict rebuilds a vantage's decision
+// state in. Queries are pooled, so a warm Predict allocates little more
+// than its answer.
+type query struct {
+	routes      []bgp.Route // candidates, their paths slices of asns
+	asns        []bgp.ASN
+	cands       []*bgp.Route
+	elim        []bgp.Step
+	bests, alts []ranked // quasi-routers' bests; the other candidates
+	buf         []byte
+}
+
+type ranked struct {
+	route *bgp.Route
+	step  bgp.Step
+}
+
+var queries = sync.Pool{New: func() any { return new(query) }}
+
+// rebuild appends quasi-router q's candidates for the prefix of row to
+// qy.routes and returns them: its local route when its AS originates the
+// prefix, then one route per session whose remote router offers one, in
+// session order — the candidates sim.Router.DecideRIB lists after a
+// run, rebuilt from the best slots in row and the model's policies
+// alone. A session offers the remote's best path with the remote's AS
+// prepended unless either direction is disabled, the remote's export
+// toward q is denied, the path holds q's AS (the eBGP loop check) or q's
+// import action denies it; an import action's MED and local-pref replace
+// the defaults.
+func (qy *query) rebuild(row []uint16, id bgp.PrefixID, q *sim.Router, origin bool) []bgp.Route {
+	from := len(qy.routes)
+	if origin {
+		qy.routes = append(qy.routes, bgp.Route{Prefix: id, LocalPref: bgp.DefaultLocalPref, MED: bgp.DefaultMED})
 	}
-	for p, st := range altBest {
-		if !bestSet[p] { // selected by some quasi-router: already in paths
-			vr.alts = append(vr.alts, altRoute{path: p, step: st})
+	for _, p := range q.Peers() {
+		if rev := p.Reverse(); p.Disabled() || rev.Disabled() || rev.ExportDenied(id) {
+			continue
+		}
+		a := p.ImportAction(id)
+		// A path stays valid when asns grows: earlier paths keep the
+		// array they were cut from, and a rejected walk is cut off.
+		start := len(qy.asns)
+		if a.Deny || !qy.walk(row, p.Remote, q.AS) {
+			qy.asns = qy.asns[:start]
+			continue
+		}
+		rt := bgp.Route{Prefix: id, Path: qy.asns[start:len(qy.asns):len(qy.asns)],
+			LocalPref: bgp.DefaultLocalPref, MED: bgp.DefaultMED, Peer: p.Remote.ID, EBGP: true}
+		if a.HasMED {
+			rt.MED = a.MED
+		}
+		if a.HasLP {
+			rt.LocalPref = a.LocalPref
+		}
+		qy.routes = append(qy.routes, rt)
+	}
+	return qy.routes[from:]
+}
+
+// walk appends the best path of router r — r's AS, then its parent's,
+// up to the origin's — to qy.asns. It reports false when the path holds
+// avoid. Best paths are loop-free, so the walk visits at most every
+// router once.
+func (qy *query) walk(row []uint16, r *sim.Router, avoid bgp.ASN) bool {
+	for range row {
+		s := row[r.Index()]
+		if r.AS == avoid || s == rowNone {
+			return false
+		}
+		qy.asns = append(qy.asns, r.AS)
+		if s == rowLocal {
+			return true
+		}
+		r = r.Peers()[s-2].Remote
+	}
+	return false
+}
+
+// answer returns path with the vantage prepended, as the vantage would
+// export it: the same text as path.Prepend(vantage).String().
+func (qy *query) answer(vantage bgp.ASN, path bgp.Path) string {
+	qy.buf = strconv.AppendUint(qy.buf[:0], uint64(vantage), 10)
+	for _, a := range path {
+		qy.buf = append(qy.buf, ' ')
+		qy.buf = strconv.AppendUint(qy.buf, uint64(a), 10)
+	}
+	return string(qy.buf)
+}
+
+// byPath orders routes as the String texts of their paths sort, without
+// rendering whole paths: at the first ASN that differs, the decimal
+// texts decide, a text that prefixes the other's sorting first (a space
+// sorts before every digit), as does a path that is a prefix of another.
+func byPath(x, y ranked) int {
+	a, b := x.route.Path, y.route.Path
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			var da, db [10]byte
+			return bytes.Compare(strconv.AppendUint(da[:0], uint64(a[i]), 10), strconv.AppendUint(db[:0], uint64(b[i]), 10))
 		}
 	}
-	sort.Slice(vr.alts, func(i, j int) bool {
-		if vr.alts[i].step != vr.alts[j].step {
-			return vr.alts[i].step > vr.alts[j].step
+	return cmp.Compare(len(a), len(b))
+}
+
+// Predict answers one (vantage, prefix) query from the decision state
+// of the vantage's quasi-routers, rebuilt from this snapshot's routing
+// trees. k caps the number of alternates returned (k <= 0 means none). A
+// prefix whose propagation failed at build time (divergence, no origin
+// in the model) answers with that error.
+func (s *Snapshot) Predict(ctx context.Context, prefixName string, vantage bgp.ASN, k int) (*Prediction, error) {
+	if predictFault != nil {
+		predictFault(prefixName)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if s.err != nil {
+		return nil, s.err
+	}
+	m := s.base
+	id, ok := m.Universe.ID(prefixName)
+	if !ok {
+		return nil, &ErrUnknownPrefix{Prefix: prefixName}
+	}
+	if err := s.table.errs[id]; err != nil {
+		return nil, err
+	}
+	if len(m.QuasiRouters(vantage)) == 0 {
+		return nil, &ErrUnknownVantage{AS: vantage}
+	}
+	qy := queries.Get().(*query)
+	defer queries.Put(qy)
+	qy.routes, qy.asns = qy.routes[:0], qy.asns[:0]
+	qy.bests, qy.alts, qy.cands = qy.bests[:0], qy.alts[:0], qy.cands[:0]
+
+	row := s.table.row(id)
+	origin := slices.Contains(m.Universe.Origins(id), vantage)
+	var tie bgp.Step
+	var primary *bgp.Route // what the decision process picks among the bests
+	for _, q := range m.QuasiRouters(vantage) {
+		routes := qy.rebuild(row, id, q, origin)
+		qy.cands = qy.cands[:0]
+		for i := range routes {
+			qy.cands = append(qy.cands, &routes[i])
 		}
-		return vr.alts[i].path < vr.alts[j].path
+		best, elim := bgp.Decide(m.Net.Config(), qy.cands, qy.elim)
+		qy.elim = elim
+		for i, rt := range qy.cands {
+			tie = max(tie, elim[i])
+			if i == best {
+				qy.bests = append(qy.bests, ranked{route: rt})
+				if primary == nil || !bgp.Better(bgp.QuasiRouterConfig, primary, rt) {
+					primary = rt
+				}
+			} else {
+				qy.alts = append(qy.alts, ranked{route: rt, step: elim[i]})
+			}
+		}
+	}
+	p := &Prediction{
+		Prefix:        prefixName,
+		Vantage:       vantage,
+		HasRoute:      len(qy.bests) > 0,
+		TieBreakStep:  tie.String(),
+		TieBreakDepth: int(tie),
+		SnapshotSeq:   s.Seq,
+	}
+	if !p.HasRoute {
+		return p, nil
+	}
+	p.Path = qy.answer(vantage, primary.Path)
+
+	slices.SortFunc(qy.bests, byPath)
+	bests := slices.CompactFunc(qy.bests, func(a, b ranked) bool { return a.route.Path.Equal(b.route.Path) })
+	p.Paths = make([]string, len(bests))
+	for i, b := range bests {
+		p.Paths[i] = qy.answer(vantage, b.route.Path)
+	}
+
+	// Deepest first: the first occurrence of a path is where it survived
+	// the most decision steps somewhere in the AS. Skip paths met before
+	// and paths some quasi-router selected.
+	slices.SortFunc(qy.alts, func(a, b ranked) int {
+		if a.step != b.step {
+			return cmp.Compare(b.step, a.step)
+		}
+		return byPath(a, b)
 	})
-	return vr
+	alts := qy.alts[:0]
+	for _, a := range qy.alts {
+		if len(alts) >= k {
+			break
+		}
+		seen := slices.ContainsFunc(alts, func(b ranked) bool { return a.route.Path.Equal(b.route.Path) })
+		if _, selected := slices.BinarySearchFunc(bests, a, byPath); !seen && !selected {
+			alts = append(alts, a)
+		}
+	}
+	if len(alts) > 0 {
+		p.Alternates = make([]Alternate, len(alts))
+		for i, a := range alts {
+			p.Alternates[i] = Alternate{Path: qy.answer(vantage, a.route.Path), EliminatedAt: a.step.String(), Depth: int(a.step)}
+		}
+	}
+	return p, nil
 }

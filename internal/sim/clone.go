@@ -37,6 +37,7 @@ func (n *Network) Clone() *Network {
 			ID:    r.ID,
 			AS:    r.AS,
 			net:   c,
+			index: r.index,
 			bySrc: make(map[bgp.RouterID]int, len(r.bySrc)),
 			ribIn: make([]*bgp.Route, len(r.ribIn)),
 			adv:   make([]*bgp.Route, len(r.adv)),

@@ -168,6 +168,7 @@ type Router struct {
 	AS bgp.ASN
 
 	net   *Network
+	index int // position in net.routers
 	peers []*Peer
 	bySrc map[bgp.RouterID]int // remote router ID -> peer index
 
@@ -255,7 +256,7 @@ func (n *Network) AddRouter(asn bgp.ASN, index uint16) (*Router, error) {
 	if _, dup := n.byID[id]; dup {
 		return nil, fmt.Errorf("sim: duplicate router %s", id)
 	}
-	r := &Router{ID: id, AS: asn, net: n, bySrc: make(map[bgp.RouterID]int)}
+	r := &Router{ID: id, AS: asn, net: n, index: len(n.routers), bySrc: make(map[bgp.RouterID]int)}
 	n.routers = append(n.routers, r)
 	n.byID[id] = r
 	return r, nil
@@ -291,8 +292,14 @@ func (n *Network) Connect(a, b *Router) (*Peer, *Peer, error) {
 	return pa, pb, nil
 }
 
+// Index returns the router's position in Network.Routers().
+func (r *Router) Index() int { return r.index }
+
 // Peers returns the router's session endpoints (its side).
 func (r *Router) Peers() []*Peer { return r.peers }
+
+// Reverse returns the other direction of p's session: Remote's side.
+func (p *Peer) Reverse() *Peer { return p.Remote.peers[p.remoteIdx] }
 
 // PeerTo returns r's session direction toward the router with the given
 // ID, or nil if no session exists.
@@ -740,6 +747,25 @@ func routesEqual(a, b *bgp.Route) bool {
 // Best returns the router's selected best route for the last Run prefix,
 // or nil if it selected none.
 func (r *Router) Best() *bgp.Route { return r.best }
+
+// Slot values BestSlot returns besides an index into Peers().
+const (
+	LocalSlot = -1 // the best is the locally originated route
+	NoSlot    = -2 // the router selected no route
+)
+
+// BestSlot returns where the router's best route for the last Run
+// prefix came from: the index into Peers() of the session it was learned
+// on, LocalSlot, or NoSlot. In a converged network the learned best is
+// the session's remote router's best with that router's AS prepended, so
+// the best slots of all routers describe every best path: the prefix's
+// routing tree.
+func (r *Router) BestSlot() int {
+	if r.best == nil {
+		return NoSlot
+	}
+	return r.bestSlot
+}
 
 // Local returns the router's locally originated route, or nil.
 func (r *Router) Local() *bgp.Route { return r.local }

@@ -30,17 +30,11 @@ func (p *Peer) CopyPoliciesFrom(src *Peer) {
 	p.ExportHook = src.ExportHook
 }
 
-// ImportMED returns the import MED override installed for the prefix on
-// this session, if any.
-func (p *Peer) ImportMED(prefix bgp.PrefixID) (uint32, bool) {
-	if p.importActs == nil {
-		return 0, false
-	}
-	a, ok := p.importActs[prefix]
-	if !ok || !a.hasMED {
-		return 0, false
-	}
-	return a.med, true
+// ImportAction returns the import action installed for the prefix on
+// this session (the zero view when none is).
+func (p *Peer) ImportAction(prefix bgp.PrefixID) ImportActionView {
+	a := p.importActs[prefix]
+	return ImportActionView{Prefix: prefix, Deny: a.deny, HasMED: a.hasMED, MED: a.med, HasLP: a.hasLP, LocalPref: a.lp}
 }
 
 // Disabled reports whether the session direction is administratively down.

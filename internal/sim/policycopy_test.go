@@ -22,8 +22,8 @@ func TestCopyPoliciesFrom(t *testing.T) {
 	pab.ImportHook = func(r *bgp.Route) bool { hookCalled = true; return true }
 
 	pcb.CopyPoliciesFrom(pab)
-	if med, ok := pcb.ImportMED(3); !ok || med != 7 {
-		t.Errorf("MED not copied: %d %v", med, ok)
+	if a := pcb.ImportAction(3); !a.HasMED || a.MED != 7 {
+		t.Errorf("MED not copied: %+v", a)
 	}
 	if !pcb.ExportDenied(5) {
 		t.Error("export deny not copied")
@@ -36,7 +36,7 @@ func TestCopyPoliciesFrom(t *testing.T) {
 	}
 	// The copy is independent: mutating it must not touch the source.
 	pcb.ClearImport(3)
-	if _, ok := pab.ImportMED(3); !ok {
+	if !pab.ImportAction(3).HasMED {
 		t.Error("copy shares import map with source")
 	}
 	pcb.AllowExport(5)
@@ -83,10 +83,10 @@ func TestVisitors(t *testing.T) {
 	q := b.PeerTo(a.ID)
 	q.VisitImportActions(func(ImportActionView) { t.Error("unexpected import") })
 	q.VisitExportDenies(func(bgp.PrefixID) { t.Error("unexpected deny") })
-	if _, ok := q.ImportMED(5); ok {
+	if q.ImportAction(5).HasMED {
 		t.Error("phantom MED")
 	}
-	if _, ok := p.ImportMED(3); ok {
+	if p.ImportAction(3).HasMED {
 		t.Error("LP-only action reported as MED")
 	}
 }
