@@ -166,10 +166,10 @@ func cmdStream(ctx context.Context, args []string) error {
 	if res.Recovered {
 		resumed = " (resumed)"
 	}
-	fmt.Printf("stream%s: batches=%d records=%d last-ts=%d changed=%d refined=%d iterations=%d quarantined=%d retried=%d in %v\n",
+	fmt.Printf("stream%s: batches=%d records=%d last-ts=%d changed=%d refined=%d iterations=%d quarantined=%d in %v\n",
 		resumed, res.Batches, res.Records, res.LastTS,
 		res.Totals.ChangedPrefixes, res.Totals.RefinedPrefixes, res.Totals.Iterations,
-		res.Totals.QuarantinedBatch, res.Totals.RetriedBatches,
+		res.Totals.QuarantinedBatch,
 		time.Since(start).Round(time.Millisecond))
 	if res.SkipReport != nil && res.SkipReport.Skipped > 0 {
 		fmt.Fprintf(os.Stderr, "asmodel: %s\n", res.SkipReport)

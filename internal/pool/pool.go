@@ -76,10 +76,6 @@ type Sweep struct {
 	// completed without error, seconds inside bodies, and seconds
 	// elsewhere (worker-state build, cursor contention, tail straggling).
 	Items, Busy, Idle *obs.Histogram
-	// Done, when non-nil, runs on the worker right after every claimed
-	// item with the item's error (nil on success) — also after a panic —
-	// so a caller can merge results while the sweep still runs.
-	Done func(i int, err error)
 }
 
 // Run processes items 0..n-1 on workers goroutines. Each goroutine
@@ -136,8 +132,9 @@ func Run[W any](ctx context.Context, s Sweep, n, workers int, newWorker func(wor
 			}()
 			w := newWorker(wi)
 			// Check before claiming, never after: a claimed item always
-			// runs and signals Done, so an in-order merger waiting on it
-			// cannot hang.
+			// runs its body. Items are claimed in index order, so every
+			// item below a failure runs and Run's lowest-index failure
+			// really is the lowest.
 			for wctx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -146,9 +143,6 @@ func Run[W any](ctx context.Context, s Sweep, n, workers int, newWorker func(wor
 				t0 := time.Now()
 				panicked, err := call(wctx, &s, w, i, body)
 				busy += time.Since(t0)
-				if s.Done != nil {
-					s.Done(i, err)
-				}
 				if err != nil {
 					if panicked || !errors.Is(err, wctx.Err()) {
 						fail(i, err)

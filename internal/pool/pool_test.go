@@ -130,30 +130,56 @@ func TestRunEachIndexOnce(t *testing.T) {
 	}
 }
 
-// TestRunPanic: a panicking item yields a *PanicError naming the sweep,
-// the item and carrying the stack; it is counted, and the sweep neither
-// crashes nor deadlocks.
+// TestRunPanic: a panicking item — in its body or in FaultHook — yields
+// a *PanicError naming the sweep, the item and carrying the stack; it is
+// counted, and the sweep neither crashes nor deadlocks. FaultHook sees
+// each item at most once, and every item below the failing one is
+// claimed.
 func TestRunPanic(t *testing.T) {
-	before := Panics.Value()
-	err := runBounded(t, func() error {
-		return Run(context.Background(), testSweep("boom"), 64, 3,
-			func(int) struct{} { return struct{}{} },
-			func(_ context.Context, _ struct{}, i int) error {
-				if i == 17 {
+	const n, bad = 200, 57
+	for _, where := range []string{"body", "hook"} {
+		t.Run(where, func(t *testing.T) {
+			claimed := make([]atomic.Int32, n)
+			setHook(t, func(op string, item int) {
+				if op != "boom" {
+					t.Errorf("hook op %q, want boom", op)
+				}
+				claimed[item].Add(1)
+				if where == "hook" && item == bad {
 					panic("kaboom")
 				}
-				return nil
 			})
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("want *PanicError, got %T: %v", err, err)
-	}
-	if pe.Op != "boom" || pe.Prefix != "P17" || pe.Value != "kaboom" || len(pe.Stack) == 0 {
-		t.Fatalf("incomplete panic error: op %q prefix %q value %v stack %d bytes", pe.Op, pe.Prefix, pe.Value, len(pe.Stack))
-	}
-	if got := Panics.Value() - before; got != 1 {
-		t.Fatalf("worker_panics_recovered advanced by %d, want 1", got)
+			before := Panics.Value()
+			err := runBounded(t, func() error {
+				return Run(context.Background(), testSweep("boom"), n, 4,
+					func(int) struct{} { return struct{}{} },
+					func(_ context.Context, _ struct{}, i int) error {
+						if i == bad {
+							panic("kaboom")
+						}
+						return nil
+					})
+			})
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("want *PanicError, got %T: %v", err, err)
+			}
+			if pe.Op != "boom" || pe.Prefix != fmt.Sprintf("P%d", bad) || pe.Value != "kaboom" || len(pe.Stack) == 0 {
+				t.Fatalf("incomplete panic error: op %q prefix %q value %v stack %d bytes", pe.Op, pe.Prefix, pe.Value, len(pe.Stack))
+			}
+			if got := Panics.Value() - before; got != 1 {
+				t.Fatalf("worker_panics_recovered advanced by %d, want 1", got)
+			}
+			for i := 0; i < n; i++ {
+				c := claimed[i].Load()
+				if c > 1 {
+					t.Fatalf("item %d: hook ran %d times", i, c)
+				}
+				if i <= bad && c != 1 {
+					t.Fatalf("item %d below the failure was never claimed", i)
+				}
+			}
+		})
 	}
 }
 
@@ -231,52 +257,5 @@ func TestRunCancelStopsClaiming(t *testing.T) {
 		func(context.Context, struct{}, int) error { ran.Add(1); return nil })
 	if !errors.Is(err, context.Canceled) || ran.Load() != 0 {
 		t.Fatalf("pre-canceled sweep: err %v, %d items ran", err, ran.Load())
-	}
-}
-
-// TestRunDoneFiresForEveryClaimedItem: Done runs exactly once for each
-// item FaultHook saw, including the one whose hook panicked, and carries
-// that item's *PanicError.
-func TestRunDoneFiresForEveryClaimedItem(t *testing.T) {
-	const n, bad = 200, 57
-	claimed := make([]atomic.Int32, n)
-	done := make([]atomic.Int32, n)
-	var badErr atomic.Value
-	setHook(t, func(op string, item int) {
-		if op != "test" {
-			t.Errorf("hook op %q, want test", op)
-		}
-		claimed[item].Add(1)
-		if item == bad {
-			panic("injected")
-		}
-	})
-	s := testSweep("test")
-	s.Done = func(i int, err error) {
-		done[i].Add(1)
-		if i == bad {
-			badErr.Store(err)
-		}
-	}
-	err := runBounded(t, func() error {
-		return Run(context.Background(), s, n, 4,
-			func(int) struct{} { return struct{}{} },
-			func(context.Context, struct{}, int) error { return nil })
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Prefix != fmt.Sprintf("P%d", bad) {
-		t.Fatalf("got %v, want the injected panic on P%d", err, bad)
-	}
-	for i := 0; i < n; i++ {
-		c, d := claimed[i].Load(), done[i].Load()
-		if c != d || c > 1 {
-			t.Fatalf("item %d: hook ran %d times, Done %d times", i, c, d)
-		}
-		if i <= bad && c != 1 {
-			t.Fatalf("item %d below the failure was never claimed", i)
-		}
-	}
-	if e, _ := badErr.Load().(error); !errors.As(e, &pe) {
-		t.Fatalf("Done for the panicked item got %v, want its *PanicError", e)
 	}
 }

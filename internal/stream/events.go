@@ -46,12 +46,15 @@ type Event struct {
 	// Bootstrap marks the batch that built the initial model from its
 	// own snapshot (no -bootstrap dataset was given).
 	Bootstrap bool `json:"bootstrap,omitempty"`
-	// Retried marks a batch whose first refinement failed and was re-run
-	// from the committed model under an escalated budget; Quarantined
-	// marks a batch abandoned after the retry also failed (its records
-	// advance the cursor, its refinement is skipped).
-	Retried     bool `json:"retried,omitempty"`
+	// Quarantined marks a batch whose refinement failed: the model rolled
+	// back to the committed state, the batch's records advance the
+	// cursor and its refinement is skipped. A failed batch is never
+	// re-run, since refinement is deterministic.
 	Quarantined bool `json:"quarantined,omitempty"`
+	// Deprecated: Retried is always false. Failed batches are
+	// quarantined without a retry; the field stays for source
+	// compatibility and never appears in the trace.
+	Retried bool `json:"retried,omitempty"`
 	// Err carries the failure context of a quarantined batch.
 	Err string `json:"err,omitempty"`
 	// Recovery-event fields: the cursor the run resumed from.

@@ -45,7 +45,6 @@ type Totals struct {
 	LocalPrefRules    int `json:"local_pref_rules"`
 	DivergedPrefixes  int `json:"diverged_prefixes"`
 	QuarantinedBatch  int `json:"quarantined_batches"`
-	RetriedBatches    int `json:"retried_batches"`
 }
 
 // UnstablePrefix is one pending stable-route exclusion carried in the
@@ -122,12 +121,15 @@ func WriteState(w io.Writer, st *State) error {
 	fmt.Fprintf(bw, "records %d\n", st.Cursor.Records)
 	fmt.Fprintf(bw, "batches %d\n", st.Cursor.Batches)
 	fmt.Fprintf(bw, "last-ts %d\n", st.Cursor.LastTS)
+	// The 16th totals value is reserved: written as 0 and discarded on
+	// load, so the cursor format and its magic stay unchanged and state
+	// files that counted retried batches there still resume.
 	t := st.Cursor.Totals
-	fmt.Fprintf(bw, "totals %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d\n",
+	fmt.Fprintf(bw, "totals %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d 0\n",
 		t.Updates, t.Announces, t.Withdraws, t.SkippedRecords,
 		t.ChangedPrefixes, t.UnknownPrefixes, t.RefinedPrefixes, t.Iterations,
 		t.QuasiRoutersAdded, t.FiltersAdded, t.FiltersRemoved, t.MEDRules,
-		t.LocalPrefRules, t.DivergedPrefixes, t.QuarantinedBatch, t.RetriedBatches)
+		t.LocalPrefRules, t.DivergedPrefixes, t.QuarantinedBatch)
 	for _, u := range st.Cursor.Unstable {
 		fmt.Fprintf(bw, "unstable %s %d\n", u.Prefix, u.StableAt)
 	}
@@ -195,6 +197,7 @@ func LoadState(r io.Reader) (*State, error) {
 			if len(f) != 17 {
 				return nil, fail("needs 16 values")
 			}
+			// The 16th value is reserved: parsed, then discarded.
 			vals := make([]int, 16)
 			for i := range vals {
 				v, perr := strconv.Atoi(f[i+1])
@@ -207,7 +210,7 @@ func LoadState(r io.Reader) (*State, error) {
 				Updates: vals[0], Announces: vals[1], Withdraws: vals[2], SkippedRecords: vals[3],
 				ChangedPrefixes: vals[4], UnknownPrefixes: vals[5], RefinedPrefixes: vals[6], Iterations: vals[7],
 				QuasiRoutersAdded: vals[8], FiltersAdded: vals[9], FiltersRemoved: vals[10], MEDRules: vals[11],
-				LocalPrefRules: vals[12], DivergedPrefixes: vals[13], QuarantinedBatch: vals[14], RetriedBatches: vals[15],
+				LocalPrefRules: vals[12], DivergedPrefixes: vals[13], QuarantinedBatch: vals[14],
 			}
 		case "unstable":
 			if len(f) != 3 {

@@ -23,8 +23,7 @@ var (
 	mBatches     = obs.GetCounter("stream_batches_total", "update batches committed")
 	mRecords     = obs.GetCounter("stream_records_total", "MRT records consumed into committed batches")
 	mRecoveries  = obs.GetCounter("stream_recoveries_total", "runs resumed from a committed cursor after a crash or restart")
-	mQuarantines = obs.GetCounter("stream_quarantined_batches_total", "poison batches quarantined after the escalated retry also failed")
-	mRetries     = obs.GetCounter("stream_batch_retries_total", "batch refinements retried from the committed model under an escalated budget")
+	mQuarantines = obs.GetCounter("stream_quarantined_batches_total", "poison batches quarantined: refinement failed, the model rolled back and the records advanced")
 	mStalls      = obs.GetCounter("stream_stalls_total", "stall-watchdog firings (no batch progress within the stall timeout)")
 	mBatchSecs   = obs.GetHistogram("stream_batch_seconds", "wall-clock seconds per committed batch (collect+refine+commit)",
 		obs.ExpBuckets(0.001, 2, 16))
@@ -39,11 +38,6 @@ var (
 // DefaultBatchRecords is the batch size (in MRT records) when
 // Config.BatchRecords is zero.
 const DefaultBatchRecords = 256
-
-// retryFactor scales the iteration budget for the single escalated
-// retry of a poison batch, mirroring the refinement loop's per-prefix
-// quarantine escalation.
-const retryFactor = 4
 
 // Config parameterizes a streaming refinement run.
 type Config struct {
@@ -154,10 +148,10 @@ type Streamer struct {
 	// seam crash-matrix tests panic through to simulate a process death
 	// at that exact point.
 	crashHook func(point string, seq int64)
-	// forcePoison maps a batch sequence number to how many refinement
-	// attempts of it should fail (test seam for the poison-batch path:
-	// 1 = fail once then succeed on the escalated retry, 2 = quarantine).
-	forcePoison map[int64]int
+	// forcePoison, when non-nil, is the set of batch sequence numbers
+	// whose refinement fails, as a membership test called once per
+	// refinement (test seam for the poison-batch path).
+	forcePoison func(seq int64) bool
 }
 
 // New builds a Streamer.
@@ -515,10 +509,6 @@ func (s *Streamer) runBatch(ctx context.Context, span *obs.Span) (done bool, err
 			ev.MEDRules = res.res.MEDRules
 			ev.DivergedPrefixes = res.res.DivergedPrefixes
 		}
-		if res.retried {
-			s.cur.Totals.RetriedBatches++
-			ev.Retried = true
-		}
 	}
 
 	// Advance and commit: cursor and checkpoint land in one atomic
@@ -589,84 +579,47 @@ func (s *Streamer) runBatch(ctx context.Context, span *obs.Span) (done bool, err
 // batchOutcome is one batch's refinement outcome.
 type batchOutcome struct {
 	res         *model.RefineResult
-	retried     bool
 	quarantined bool
 	errText     string
 }
 
 // refineBatch runs the delta refinement with the poison-batch
 // protocol: a failure rolls the model back to the committed state and
-// retries once under an escalated iteration budget; a second failure
 // quarantines the batch (records advance, refinement skipped) so one
-// poison batch cannot wedge the stream. Failures here are
-// content-deterministic, so every run schedule takes the same path.
+// poison batch cannot wedge the stream. There is no retry: refinement
+// is deterministic, so a re-run from the committed model would fail the
+// same way, and every run schedule takes the same path.
 func (s *Streamer) refineBatch(ctx context.Context, bspan *obs.Span, seq int64, delta *dataset.Dataset, bootstrap bool) (*batchOutcome, error) {
-	out := &batchOutcome{}
-	cfg := model.RefineConfig{
-		MaxIterations: s.cfg.MaxIterations,
-		Logf:          s.cfg.Logf,
+	rspan := bspan.StartChild("refine", obs.A("prefixes", len(delta.Prefixes())))
+	res, err := s.refine(ctx, seq, delta)
+	rspan.End()
+	if err == nil {
+		return &batchOutcome{res: res}, nil
 	}
-	for attempt := 1; ; attempt++ {
-		rspan := bspan.StartChild("refine",
-			obs.A("prefixes", len(delta.Prefixes())), obs.A("attempt", attempt))
-		res, err := s.refineAttempt(ctx, seq, delta, cfg)
-		rspan.End()
-		if err == nil {
-			out.res = res
-			return out, nil
-		}
-		if cerr := ctxErr(ctx, err); cerr != nil {
-			return nil, s.interrupted(cerr)
-		}
-		var ierr *model.InterruptedError
-		if errors.As(err, &ierr) {
-			return nil, s.interrupted(err)
-		}
-		if rberr := s.rollback(delta, bootstrap); rberr != nil {
-			return nil, fmt.Errorf("stream: batch %d refinement failed (%v) and rollback failed: %w", seq, err, rberr)
-		}
-		if attempt == 1 {
-			out.retried = true
-			mRetries.Inc()
-			// Escalate the budget the way per-prefix quarantine does: a
-			// marginally-too-small budget recovers, a genuine poison
-			// batch wastes bounded work.
-			esc := s.cfg.MaxIterations
-			if esc == 0 {
-				esc = maxIterationsFor(delta)
-			}
-			cfg.MaxIterations = esc * retryFactor
-			s.cfg.Logf("stream: batch %d refinement failed (%v); retrying from committed model with budget %d",
-				seq, err, cfg.MaxIterations)
-			continue
-		}
-		out.quarantined = true
-		out.errText = err.Error()
-		s.cfg.Logf("stream: batch %d failed again under escalated budget; quarantined (records advance, refinement skipped)", seq)
-		return out, nil
+	if cerr := ctxErr(ctx, err); cerr != nil {
+		return nil, s.interrupted(cerr)
 	}
+	var ierr *model.InterruptedError
+	if errors.As(err, &ierr) {
+		return nil, s.interrupted(err)
+	}
+	if rberr := s.rollback(delta, bootstrap); rberr != nil {
+		return nil, fmt.Errorf("stream: batch %d refinement failed (%v) and rollback failed: %w", seq, err, rberr)
+	}
+	s.cfg.Logf("stream: batch %d refinement failed (%v); quarantined (records advance, refinement skipped)", seq, err)
+	return &batchOutcome{quarantined: true, errText: err.Error()}, nil
 }
 
-// maxIterationsFor mirrors the refinement loop's automatic budget for
-// escalation purposes (4*maxLen+8 on the delta's longest path).
-func maxIterationsFor(delta *dataset.Dataset) int {
-	maxLen := 1
-	for _, r := range delta.Records {
-		if len(r.Path) > maxLen {
-			maxLen = len(r.Path)
-		}
-	}
-	return 4*maxLen + 8
-}
-
-// refineAttempt is one refinement attempt, with the forcePoison test
-// seam in front of the real call.
-func (s *Streamer) refineAttempt(ctx context.Context, seq int64, delta *dataset.Dataset, cfg model.RefineConfig) (*model.RefineResult, error) {
-	if s.forcePoison != nil && s.forcePoison[seq] > 0 {
-		s.forcePoison[seq]--
+// refine is the batch's refinement, with the forcePoison test seam in
+// front of the real call.
+func (s *Streamer) refine(ctx context.Context, seq int64, delta *dataset.Dataset) (*model.RefineResult, error) {
+	if s.forcePoison != nil && s.forcePoison(seq) {
 		return nil, fmt.Errorf("stream: injected poison failure for batch %d", seq)
 	}
-	return s.m.RefineIncremental(ctx, delta, cfg)
+	return s.m.RefineIncremental(ctx, delta, model.RefineConfig{
+		MaxIterations: s.cfg.MaxIterations,
+		Logf:          s.cfg.Logf,
+	})
 }
 
 // rollback restores the model to the last committed state: reloaded
@@ -676,7 +629,7 @@ func (s *Streamer) refineAttempt(ctx context.Context, seq int64, delta *dataset.
 func (s *Streamer) rollback(delta *dataset.Dataset, bootstrap bool) error {
 	if bootstrap {
 		// The model was built from this batch's snapshot and mutated by
-		// the failed attempt; rebuild it the same way.
+		// the failed refinement; rebuild it the same way.
 		m, err := model.NewInitial(topology.FromDataset(delta), dataset.NewUniverse(delta))
 		if err != nil {
 			return err

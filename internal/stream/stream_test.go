@@ -224,12 +224,16 @@ func eventJSON(t *testing.T, ev Event) string {
 
 // cleanRun executes an uninterrupted run and returns the final state
 // bytes, result and batch events — the reference for every crash
-// schedule.
+// schedule. The last committed model must RIB-Out match every path of
+// the whole stream, so every schedule whose final state equals this
+// one's ends in a model exact on all of its training data.
 func cleanRun(t *testing.T, workers int) ([]byte, *Result, []Event) {
 	t.Helper()
 	dir := t.TempDir()
 	var evs []Event
 	cfg, _ := streamCfg(t, dir, workers, &evs)
+	var last *model.Model
+	cfg.OnCommit = func(st *State) { last = st.Checkpoint.Model }
 	res, err := New(cfg).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -237,6 +241,13 @@ func cleanRun(t *testing.T, workers int) ([]byte, *Result, []Event) {
 	st, err := os.ReadFile(cfg.StatePath)
 	if err != nil {
 		t.Fatal(err)
+	}
+	ev, err := last.Evaluate(bootstrapDataset(t, filepath.Join(dir, "updates.mrt")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Summary.Total == 0 || ev.Summary.RIBOut != ev.Summary.Total {
+		t.Fatalf("streamed model RIB-Out matches %d of %d training paths", ev.Summary.RIBOut, ev.Summary.Total)
 	}
 	return st, res, batchEvents(evs)
 }
@@ -569,101 +580,105 @@ func TestBootstrapFromFirstBatch(t *testing.T) {
 	}
 }
 
-// TestPoisonRetrySucceeds injects one refinement failure: the batch is
-// retried from the committed model under an escalated budget and the
-// final model must equal the clean run's (only the retry counter
-// differs).
-func TestPoisonRetrySucceeds(t *testing.T) {
-	_, wantRes, _ := cleanRun(t, 1)
+// poisonRun runs the fixture stream with the refinement of batch poison
+// failing, optionally without a bootstrap dataset and with a crash at
+// between-batches crashAt (0 = none) followed by a restart. It returns
+// the result, the final state bytes, the poisoned batch's event (nil
+// when it was not emitted) and how many times that batch was refined.
+func poisonRun(t *testing.T, bootstrap bool, poison, crashAt int64) (*Result, []byte, *Event, int) {
+	t.Helper()
 	dir := t.TempDir()
 	var evs []Event
-	cfg, _ := streamCfg(t, dir, 1, &evs)
-	s := New(cfg)
-	s.forcePoison = map[int64]int{2: 1}
+	calls := 0
+	start := func() *Streamer {
+		cfg, _ := streamCfg(t, dir, 1, &evs)
+		if !bootstrap {
+			cfg.Bootstrap = nil
+		}
+		s := New(cfg)
+		s.forcePoison = func(seq int64) bool {
+			if seq == poison {
+				calls++
+				return true
+			}
+			return false
+		}
+		return s
+	}
+	s := start()
+	if crashAt > 0 {
+		s.crashHook = func(point string, seq int64) {
+			if point == "between-batches" && seq == crashAt {
+				panic(crashSentinel{point: point, seq: seq})
+			}
+		}
+		if _, _, crashed := runMaybeCrash(context.Background(), s); !crashed {
+			t.Fatal("crash did not fire")
+		}
+		s = start()
+	}
 	res, err := s.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Totals.RetriedBatches != 1 || res.Totals.QuarantinedBatch != 0 {
-		t.Fatalf("expected one retried batch: %+v", res.Totals)
+	st, err := os.ReadFile(s.cfg.StatePath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	norm := res.Totals
-	norm.RetriedBatches = 0
-	if norm != wantRes.Totals {
-		t.Fatalf("retried run totals differ beyond the retry counter:\n  got:  %+v\n  want: %+v",
-			norm, wantRes.Totals)
-	}
-	var retried *Event
+	var pev *Event
 	for i := range evs {
-		if evs[i].Type == "batch" && evs[i].Seq == 2 {
-			retried = &evs[i]
+		if evs[i].Type == "batch" && evs[i].Seq == poison {
+			pev = &evs[i]
 		}
 	}
-	if retried == nil || !retried.Retried || retried.Quarantined {
-		t.Fatalf("batch 2 event not marked retried: %+v", retried)
-	}
+	return res, st, pev, calls
 }
 
-// TestPoisonQuarantine injects two failures: the batch is quarantined —
-// its records advance the cursor, its refinement is skipped — and the
-// stream continues, deterministically across crash/restart.
+// TestPoisonQuarantine injects one refinement failure: the batch is
+// refined once and quarantined at once — the model rolls back, its
+// records advance the cursor, its refinement is skipped — and the
+// stream completes, deterministically across a crash right after the
+// quarantined commit. Without a bootstrap dataset the poisoned batch is
+// the bootstrap batch, and rollback rebuilds the initial model from its
+// own snapshot.
 func TestPoisonQuarantine(t *testing.T) {
-	run := func(crash bool) (*Result, []byte) {
-		dir := t.TempDir()
-		var evs []Event
-		cfg, _ := streamCfg(t, dir, 1, &evs)
-		s := New(cfg)
-		s.forcePoison = map[int64]int{2: 2}
-		if crash {
-			s.crashHook = func(point string, seq int64) {
-				if point == "between-batches" && seq == 2 {
-					panic(crashSentinel{point: point, seq: seq})
-				}
+	_, wantRes, _ := cleanRun(t, 1)
+	for _, c := range []struct {
+		name      string
+		bootstrap bool
+		poison    int64
+	}{
+		{"bootstrap-dataset", true, 2},
+		{"bootstrap-batch", false, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res, st, ev, calls := poisonRun(t, c.bootstrap, c.poison, 0)
+			if calls != 1 {
+				t.Fatalf("poisoned batch refined %d times, want exactly 1", calls)
 			}
-			_, _, crashed := runMaybeCrash(context.Background(), s)
-			if !crashed {
-				t.Fatal("crash did not fire")
+			if ev == nil || !ev.Quarantined || ev.Retried || ev.Bootstrap == c.bootstrap {
+				t.Fatalf("poisoned batch not quarantined without retry: %+v", ev)
 			}
-			cfg2, _ := streamCfg(t, dir, 1, &evs)
-			s = New(cfg2)
-			// Batch 2 is already committed (quarantined); the poison map
-			// is irrelevant on resume but kept identical for symmetry.
-			s.forcePoison = map[int64]int{2: 2}
-		}
-		res, err := s.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, rerr := os.ReadFile(cfg.StatePath)
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-		if !crash {
-			var q *Event
-			for i := range evs {
-				if evs[i].Type == "batch" && evs[i].Seq == 2 {
-					q = &evs[i]
-				}
+			if ev.Err == "" || ev.Iterations != 0 {
+				t.Fatalf("quarantined event malformed: %+v", ev)
 			}
-			if q == nil || !q.Quarantined || !q.Retried {
-				t.Fatalf("batch 2 not marked quarantined+retried: %+v", q)
+			if res.Totals.QuarantinedBatch != 1 || res.Batches != wantRes.Batches || res.Records != wantRes.Records {
+				t.Fatalf("stream did not complete with one quarantined batch: %+v, want %d batches and %d records",
+					*res, wantRes.Batches, wantRes.Records)
 			}
-			if q.Err == "" || q.Iterations != 0 {
-				t.Fatalf("quarantined event malformed: %+v", q)
+			// The poisoned batch commits before the crash, so the
+			// restart never refines it again.
+			resC, stC, _, callsC := poisonRun(t, c.bootstrap, c.poison, c.poison)
+			if callsC != 1 {
+				t.Fatalf("crash/restart refined the poisoned batch %d times, want 1", callsC)
 			}
-		}
-		return res, st
-	}
-	res, st := run(false)
-	if res.Totals.QuarantinedBatch != 1 || res.Totals.RetriedBatches != 1 {
-		t.Fatalf("expected quarantine: %+v", res.Totals)
-	}
-	resC, stC := run(true)
-	if !bytes.Equal(normState(st), normState(stC)) {
-		t.Fatal("quarantine run state differs across crash/restart")
-	}
-	if res.Totals != resC.Totals {
-		t.Fatalf("quarantine totals differ: %+v vs %+v", res.Totals, resC.Totals)
+			if !bytes.Equal(normState(st), normState(stC)) {
+				t.Fatal("quarantine run state differs across crash/restart")
+			}
+			if res.Totals != resC.Totals {
+				t.Fatalf("quarantine totals differ: %+v vs %+v", res.Totals, resC.Totals)
+			}
+		})
 	}
 }
 
@@ -1000,6 +1015,53 @@ func TestStateRoundtrip(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeReservedTotal resumes from a cursor whose reserved 16th
+// totals value is non-zero — what earlier versions wrote after a batch
+// retried under an escalated budget. The value is read and discarded,
+// and the run finishes with the clean run's state bytes.
+func TestResumeReservedTotal(t *testing.T) {
+	wantState, _, _ := cleanRun(t, 1)
+	dir := t.TempDir()
+	cfg, _ := streamCfg(t, dir, 1, nil)
+	cfg.MaxBatches = 2
+	if _, err := New(cfg).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(cfg.StatePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := reservedTotalRe.ReplaceAll(raw, []byte("${1} 1"))
+	if bytes.Equal(old, raw) {
+		t.Fatal("totals line not found")
+	}
+	if err := os.WriteFile(cfg.StatePath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Without the previous commit's backup, only the edited cursor can
+	// load: a refusal cannot fall back to it.
+	if err := os.Remove(cfg.StatePath + ".bak"); err != nil {
+		t.Fatal(err)
+	}
+	cfg.MaxBatches = 0
+	res, err := New(cfg).Run(context.Background())
+	if err != nil {
+		t.Fatalf("resume from a cursor with a non-zero reserved total: %v", err)
+	}
+	if !res.Recovered {
+		t.Fatal("run did not resume from the cursor")
+	}
+	got, err := os.ReadFile(cfg.StatePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(normState(got), normState(wantState)) {
+		t.Fatal("final state differs from the clean run")
+	}
+}
+
+var reservedTotalRe = regexp.MustCompile(`(?m)^(totals(?: \d+){15}) 0$`)
 
 // --- Folded leading batches ----------------------------------------------
 
